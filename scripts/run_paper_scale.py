@@ -31,7 +31,6 @@ def main() -> None:
     ap.add_argument("--fast", action="store_true",
                     help="lr 1e-4, 800 epochs, reg_lambda 1.5, slow beta decay")
     ap.add_argument("--test-fraction", type=float, default=0.2)
-    ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--out-dir", type=Path, default=None, help="write checkpoint + metrics here")
     args = ap.parse_args()
 
@@ -48,7 +47,7 @@ def main() -> None:
           f"eta={hp.eta} margin={hp.margin}")
 
     t0 = time.time()
-    model, report = train(train_graph, hp, workers=args.workers)
+    model, report = train(train_graph, hp)
     train_seconds = time.time() - t0
     print(f"trained in {train_seconds:.0f}s, final loss {report.losses[-1]:.4f}")
 

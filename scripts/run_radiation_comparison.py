@@ -30,7 +30,6 @@ def main() -> None:
     ap.add_argument("--tau", type=float, default=0.5)
     ap.add_argument("--top-m", type=int, default=3)
     ap.add_argument("--threshold", type=float, default=0.7, help="retrieval cosine cutoff")
-    ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
 
     scenario = build_radiation_scenario()
@@ -40,9 +39,7 @@ def main() -> None:
 
     hp = Hyperparams(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
     t0 = time.time()
-    kge_plan, prov = generate_plan(
-        scenario.graph, query, hp, tau=args.tau, top_m=args.top_m, workers=args.workers
-    )
+    kge_plan, prov = generate_plan(scenario.graph, query, hp, tau=args.tau, top_m=args.top_m)
     print(f"link predictor: {len(kge_plan.rule_edges)} rule edges in {time.time() - t0:.0f}s")
 
     t0 = time.time()

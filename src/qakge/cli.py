@@ -134,7 +134,7 @@ def cmd_train(args) -> int:
         train_graph, test_graph = split_train_test(graph, args.test_fraction, hp.seed)
     else:
         train_graph, test_graph = graph, None
-    model, report = train(train_graph, hp, workers=args.workers)
+    model, report = train(train_graph, hp)
     save_checkpoint(model, args.out)
     if args.report_out:
         doc = report.to_dict()
@@ -150,6 +150,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    hp = load_run_config(args.config).hyperparams
     model = load_checkpoint(args.model)
     graph = load_triples_csv(args.graph, percent=args.percent)
     ensure_same_vocab(model.vocab, graph.vocab)
@@ -158,7 +159,7 @@ def cmd_eval(args) -> int:
         _, test_graph = split_train_test(graph, args.test_fraction, args.seed)
     else:
         test_graph = graph
-    metrics = evaluate(model, test_graph, graph, protocol=args.protocol)
+    metrics = evaluate(model, test_graph, graph, protocol=args.protocol, hp=hp)
     if args.json_out:
         save_json(metrics.to_dict(), args.json_out)
     hits = " ".join(f"hits@{n}={v:.4f}" for n, v in sorted(metrics.hits.items()))
@@ -181,9 +182,7 @@ def cmd_plan(args) -> int:
     graph = load_triples_csv(args.graph, percent=args.percent)
     ctx = context_from_dict(load_json(args.context))
     warm = load_checkpoint(args.warm_start) if args.warm_start else None
-    plan, prov = generate_plan(
-        graph, ctx, hp, tau, top_m, warm_start=warm, workers=args.workers
-    )
+    plan, prov = generate_plan(graph, ctx, hp, tau, top_m, warm_start=warm)
     meta = {
         "method": "link_prediction",
         "hyperparams": hp.to_dict(),
@@ -272,9 +271,7 @@ def cmd_gridsearch(args) -> int:
     for name, values in grid.items():
         if not isinstance(values, list):
             raise InputError(f"grid entry {name!r} must be a list")
-    best, leaderboard = grid_search(
-        train_graph, valid_graph, grid, args.budget_epochs, base, workers=args.workers
-    )
+    best, leaderboard = grid_search(train_graph, valid_graph, grid, args.budget_epochs, base)
     save_json({"best": best.to_dict(), "leaderboard": leaderboard}, args.leaderboard_out)
     top = leaderboard[0]
     print(f"best of {len(leaderboard)}: {top['params']} (val_loss {top['val_loss']:.6f})")
@@ -316,7 +313,6 @@ def build_parser() -> _Parser:
                    help="hold out this fraction before training (0 = use all)")
     p.add_argument("--out", required=True, help="output checkpoint file")
     p.add_argument("--report-out", default=None, help="training report JSON")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="rank held-out triples, report MRR/MR/Hits")
@@ -327,6 +323,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--protocol", choices=PROTOCOLS, default="filtered")
     p.add_argument("--json-out", default=None)
+    p.add_argument("--config", default=None,
+                   help="config the model was trained with; its hyperparameters score the loss")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("plan", help="predict an assessment plan for a new context")
@@ -338,8 +336,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--top-m", type=int, default=None)
-    p.add_argument("--warm-start", default=None, help="checkpoint to copy shared rows from")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--warm-start", default=None,
+                   help="fold the context into this checkpoint; its rows stay fixed")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("baseline", help="retrieve the nearest stored context's plan")
@@ -366,7 +364,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_gridsearch)
     return parser
 

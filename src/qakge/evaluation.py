@@ -137,6 +137,7 @@ class EvalMetrics:
             "hits": {str(n): v for n, v in sorted(self.hits.items())},
             "n_test": self.n_test,
             "protocol": self.protocol,
+            "per_relation_mrr": self.per_relation_mrr,
         }
 
 

@@ -21,8 +21,6 @@ def grid_search(
     grid: Mapping[str, Sequence[Any]],
     budget_epochs: int,
     base: Hyperparams | None = None,
-    *,
-    workers: int = 1,
 ) -> tuple[Hyperparams, list[dict]]:
     """Train one model per grid combination, pick the lowest validation loss.
 
@@ -53,7 +51,7 @@ def grid_search(
         except TypeError as exc:
             raise InputError(f"unknown hyperparameter in grid: {exc}") from None
         t0 = time.perf_counter()
-        model, _ = train(train_graph, hp, workers=workers)
+        model, _ = train(train_graph, hp)
         # beta=0 so early-annealing configs are judged by their end-state loss
         val = validation_loss(model, valid_graph, hp, beta=0.0, seed=base.seed)
         elapsed = time.perf_counter() - t0

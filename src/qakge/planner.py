@@ -1,9 +1,15 @@
 """Assessment plan generation from a trained link predictor.
 
-A new context is merged into the metadata graph, the embedding model is
-(re)trained on the merged graph, and candidate quality checks are ranked by
-their link scores. Raw scores are mapped to [0, 1] weights with a
-per-relation min-max calibration fitted on the known edges.
+A new context is merged into the metadata graph and embedded, and candidate
+quality checks are ranked by their link scores. Without a stored model the
+embedding is trained from scratch on the merged graph. With one, the context
+is folded in: every row the stored model has stays fixed, and only the rows
+it lacks (the context, schema and attribute nodes, any new value or
+relation) are learned, from the triples that touch them. This is the
+out-of-sample setting of Albooyeh, Goel & Kazemi, "Out-of-Sample
+Representation Learning for Knowledge Graphs" (Findings of EMNLP 2020).
+Raw scores are mapped to [0, 1] weights with a per-relation min-max
+calibration fitted on the known edges.
 """
 from __future__ import annotations
 
@@ -189,14 +195,18 @@ def generate_plan(
     top_m: int = 3,
     *,
     warm_start: ModelParams | None = None,
-    workers: int = 1,
 ) -> tuple[AssessmentPlan, PlanProvenance]:
     """Predict a quality assessment plan for a previously unseen context.
 
-    The context's description triples are appended to the graph (weight 1)
-    and a fresh model is trained on the merged graph; ``warm_start`` seeds
-    the shared rows from an earlier model to speed this up. Rules are
-    predicted per attribute, dimensions per distinct predicted rule.
+    The context's description triples are appended to the graph (weight 1).
+    Without ``warm_start`` a fresh model is trained on the merged graph.
+    With it, the context is folded into that stored model: rows it has are
+    copied by name and stay fixed, and ``hp.epochs`` epochs train only the
+    rows it lacks, on the merged triples that touch them, so a plan costs
+    time in proportion to the new context rather than to the graph.
+    Calibration is then fitted on the merged graph as in the cold case.
+    Rules are predicted per attribute, dimensions per distinct predicted
+    rule.
     """
     if not 0.0 <= tau <= 1.0:
         raise InputError(f"tau must lie in [0, 1], got {tau}")
@@ -209,10 +219,11 @@ def generate_plan(
     t0 = time.perf_counter()
     merged = graph.extended(context_to_triples(new_context))
 
-    initial = None
-    if warm_start is not None:
+    if warm_start is None:
+        model, report = train(merged, hp)
+    else:
         initial = _carry_over(warm_start, merged, hp)
-    model, report = train(merged, hp, workers=workers, initial=initial)
+        model, report = train(merged, hp, initial=initial, frozen=warm_start.vocab)
     stats = fit_calibration(model, merged)
 
     rules_avail = rule_pool(merged)

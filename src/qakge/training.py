@@ -2,13 +2,12 @@
 
 All randomness (shuffling, corruption draws) flows from one seeded generator
 owned by :func:`train`, so a (graph, hyperparams) pair fully determines the
-final parameters bit for bit in the default single-threaded mode.
+final parameters bit for bit.
 """
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -17,7 +16,7 @@ from .errors import InputError, TrainingDiverged
 from .model import ModelParams, init_model, score_triples
 from .objective import Gradients, TrainingBatch, hinge_part, regularizer_part
 from .sampling import CORRUPTION_MODES, sample_corruptions
-from .triples import TripleGraph
+from .triples import TripleGraph, Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -124,99 +123,91 @@ class TrainReport:
 
 
 class _Adam:
-    """Dense Adam with bias correction; one moment pair per matrix."""
+    """Adam with bias correction; one moment pair per matrix.
 
-    def __init__(self, model: ModelParams, hp: Hyperparams):
+    With ``rows`` (entity rows, relation rows) only those rows are updated
+    and the moments are sized to them; otherwise every row is.
+    """
+
+    def __init__(self, model: ModelParams, hp: Hyperparams,
+                 rows: tuple[np.ndarray, np.ndarray] | None = None):
         self.lr = hp.learning_rate
         self.b1 = hp.adam_beta1
         self.b2 = hp.adam_beta2
         self.eps = hp.adam_eps
         self.t = 0
-        self.m = [np.zeros_like(a) for a in model.arrays()]
-        self.v = [np.zeros_like(a) for a in model.arrays()]
+        self.rows = None if rows is None else (rows[0], rows[0], rows[1], rows[1])
+        arrays = model.arrays()
+        if self.rows is not None:
+            arrays = [a[r] for a, r in zip(arrays, self.rows)]
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
 
     def step(self, model: ModelParams, grads: Gradients) -> None:
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
         scale = self.lr / bc1
-        for param, g, m, v in zip(model.arrays(), grads.arrays(), self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * np.square(g)
-            param -= scale * m / (np.sqrt(v / bc2) + self.eps)
+        moments = zip(model.arrays(), grads.arrays(), self.m, self.v)
+        if self.rows is None:
+            for param, g, m, v in moments:
+                self._update(param, g, m, v, scale, bc2)
+            return
+        for (param, g, m, v), rows in zip(moments, self.rows):
+            part = param[rows]
+            self._update(part, g[rows], m, v, scale, bc2)
+            param[rows] = part
 
-
-def _chunk_bounds(n: int, parts: int) -> list[tuple[int, int]]:
-    sizes = [n // parts + (1 if i < n % parts else 0) for i in range(parts)]
-    bounds, start = [], 0
-    for size in sizes:
-        if size:
-            bounds.append((start, start + size))
-            start += size
-    return bounds
+    def _update(self, param, g, m, v, scale: float, bc2: float) -> None:
+        m *= self.b1
+        m += (1.0 - self.b1) * g
+        v *= self.b2
+        v += (1.0 - self.b2) * np.square(g)
+        param -= scale * m / (np.sqrt(v / bc2) + self.eps)
 
 
 def _batch_loss_and_grad(
-    model: ModelParams,
-    batch: TrainingBatch,
-    hp: Hyperparams,
-    grads: Gradients,
-    pool: ThreadPoolExecutor | None,
-    workers: int,
+    model: ModelParams, batch: TrainingBatch, hp: Hyperparams, grads: Gradients
 ) -> float:
-    """Hinge + regularizer loss for one batch, gradient accumulated in place.
-
-    With ``workers > 1`` the hinge term is computed over contiguous chunks of
-    positives concurrently and reduced in chunk order, so the result is
-    deterministic (though not bit-identical to the serial path).
-    """
-    if pool is None or batch.pos.shape[0] < workers * 2:
-        loss = hinge_part(model, batch, hp.margin, grads)
-    else:
-        bounds = _chunk_bounds(batch.pos.shape[0], workers)
-
-        def run(lo_hi: tuple[int, int]) -> tuple[float, Gradients]:
-            lo, hi = lo_hi
-            sub = TrainingBatch(
-                pos=batch.pos[lo:hi],
-                pos_weights=batch.pos_weights[lo:hi],
-                neg=batch.neg[lo * batch.eta : hi * batch.eta],
-                eta=batch.eta,
-                beta=batch.beta,
-            )
-            part = Gradients.zeros_like(model)
-            return hinge_part(model, sub, hp.margin, part), part
-
-        loss = 0.0
-        for chunk_loss, part in pool.map(run, bounds):
-            loss += chunk_loss
-            for total, piece in zip(grads.arrays(), part.arrays()):
-                total += piece
-
+    """Hinge + regularizer loss for one batch, gradient accumulated in place."""
+    loss = hinge_part(model, batch, hp.margin, grads)
     ent_rows, rel_rows = batch.touched_rows()
     loss += regularizer_part(model, ent_rows, rel_rows, hp.reg_p, hp.reg_lambda, grads)
     return loss
+
+
+def _trainable(
+    vocab: Vocabulary, frozen: Vocabulary, idx: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Entity and relation rows whose names ``frozen`` lacks, and a mask of
+    the triples that touch at least one of them."""
+    ent = np.array([name not in frozen.entity_index for name in vocab.entities], dtype=bool)
+    rel = np.array([name not in frozen.relation_index for name in vocab.relations], dtype=bool)
+    if not (ent.any() or rel.any()):
+        raise InputError("frozen vocabulary covers every row: nothing to train")
+    touches = ent[idx[:, 0]] | rel[idx[:, 1]] | ent[idx[:, 2]]
+    return (np.flatnonzero(ent), np.flatnonzero(rel)), touches
 
 
 def train(
     graph: TripleGraph,
     hp: Hyperparams,
     *,
-    workers: int = 1,
     initial: ModelParams | None = None,
+    frozen: Vocabulary | None = None,
 ) -> tuple[ModelParams, TrainReport]:
     """Fit embeddings to a weighted graph.
 
     ``initial`` warm-starts from existing parameters (their vocabulary must
-    match the graph's). Raises :class:`TrainingDiverged` with the epoch,
-    batch, and offending triple rows if the loss leaves the finite range.
+    match the graph's). With ``frozen``, every entity and relation row whose
+    name it contains keeps its starting value: only the other rows are
+    optimized, only on the triples that touch one of them, and the optimizer
+    state covers only those rows. Corruptions are still drawn from the whole
+    vocabulary. Raises :class:`TrainingDiverged` with the epoch, batch, and
+    offending triple rows if the loss leaves the finite range.
     """
     if len(graph) == 0:
         raise InputError("cannot train on an empty graph")
-    if workers < 1:
-        raise InputError(f"workers must be >= 1, got {workers}")
     idx, weights = graph.index_arrays()
     if initial is None:
         model = init_model(graph.vocab, hp.k, hp.seed)
@@ -226,37 +217,36 @@ def train(
         if initial.k != hp.k:
             raise InputError(f"warm-start k={initial.k} does not match hp.k={hp.k}")
         model = initial.copy()
+    trainable = None
+    if frozen is not None:
+        trainable, touches = _trainable(graph.vocab, frozen, idx)
+        idx, weights = idx[touches], weights[touches]
 
     rng = np.random.default_rng((hp.seed, 1))
-    adam = _Adam(model, hp)
+    adam = _Adam(model, hp, trainable)
     grads = Gradients.zeros_like(model)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    n = len(graph)
+    n = idx.shape[0]
     losses: list[float] = []
     beta = beta_value(0, hp)
     started = time.perf_counter()
-    try:
-        for epoch in range(hp.epochs):
-            beta = beta_value(epoch, hp)
-            perm = rng.permutation(n)
-            epoch_loss = 0.0
-            for batch_no, start in enumerate(range(0, n, hp.batch_size)):
-                take = perm[start : start + hp.batch_size]
-                pos = idx[take]
-                neg = sample_corruptions(pos, hp.eta, hp.corruption_mode, graph.vocab, rng)
-                batch = TrainingBatch(pos, weights[take], neg, hp.eta, beta)
-                for g in grads.arrays():
-                    g.fill(0.0)
-                loss = _batch_loss_and_grad(model, batch, hp, grads, pool, workers)
-                if not np.isfinite(loss):
-                    rows = _non_finite_rows(model, batch)
-                    raise TrainingDiverged(epoch, batch_no, rows)
-                adam.step(model, grads)
-                epoch_loss += loss
-            losses.append(epoch_loss)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(hp.epochs):
+        beta = beta_value(epoch, hp)
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for batch_no, start in enumerate(range(0, n, hp.batch_size)):
+            take = perm[start : start + hp.batch_size]
+            pos = idx[take]
+            neg = sample_corruptions(pos, hp.eta, hp.corruption_mode, graph.vocab, rng)
+            batch = TrainingBatch(pos, weights[take], neg, hp.eta, beta)
+            for g in grads.arrays():
+                g.fill(0.0)
+            loss = _batch_loss_and_grad(model, batch, hp, grads)
+            if not np.isfinite(loss):
+                rows = _non_finite_rows(model, batch)
+                raise TrainingDiverged(epoch, batch_no, rows)
+            adam.step(model, grads)
+            epoch_loss += loss
+        losses.append(epoch_loss)
     report = TrainReport(
         losses=losses,
         wall_time=time.perf_counter() - started,

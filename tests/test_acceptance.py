@@ -123,7 +123,7 @@ def test_held_out_edges_of_synthetic_corpus_are_predicted():
     # k/eta/batch/margin/corruption/reg_p operating point, which is default.
     hp = Hyperparams(learning_rate=1e-4, epochs=800, seed=7,
                      reg_lambda=1.5, beta_decay_epochs=3200)
-    model, _ = train(train_graph, hp, workers=1)
+    model, _ = train(train_graph, hp)
     metrics = evaluate(model, test_graph, graph, protocol="filtered")
     _check("generalization on the 41-context corpus",
            metrics.hits[10] >= 0.45 and metrics.mrr >= 0.10,

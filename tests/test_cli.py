@@ -93,6 +93,28 @@ def test_train_eval_round_trip(capsys, world):
     assert set(metrics["hits"]) == {"1", "3", "10"}
 
 
+def test_eval_json_has_per_relation_mrr_and_config_sets_the_loss(capsys, world):
+    tmp_path, graph_path, _ = world
+    ckpt = tmp_path / "model.ckpt"
+    assert run(capsys, "train", "--graph", graph_path, "--epochs", "2",
+               "--test-fraction", "0.2", "--out", str(ckpt))[0] == 0
+    cfg_path = write_json(tmp_path / "cfg.json", {"hyperparams": {"reg_lambda": 1.5}})
+    docs = []
+    for extra in ((), ("--config", cfg_path)):
+        metrics_path = tmp_path / "metrics.json"
+        code, _, _ = run(capsys, "eval", "--model", str(ckpt), "--graph", graph_path,
+                         "--test-fraction", "0.2", "--json-out", str(metrics_path), *extra)
+        assert code == 0
+        docs.append(json.loads(metrics_path.read_text()))
+    default, configured = docs
+    graph = load_triples_csv(graph_path)
+    assert set(default["per_relation_mrr"]) <= set(graph.vocab.relations)
+    assert default["per_relation_mrr"]
+    assert all(0.0 < v <= 1.0 for v in default["per_relation_mrr"].values())
+    assert configured["mrr"] == default["mrr"]
+    assert configured["loss"] > default["loss"]  # the L_p penalty grows with reg_lambda
+
+
 def test_eval_rejects_foreign_checkpoint(capsys, world, tmp_path):
     _, graph_path, _ = world
     other_graph = tmp_path / "other.csv"

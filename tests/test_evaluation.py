@@ -129,7 +129,7 @@ def test_metrics_to_dict_shape():
     graph = toy_graph(n_entities=8, n_triples=12, seed=3)
     model = init_model(graph.vocab, k=2, seed=0)
     doc = evaluate(model, graph, graph).to_dict()
-    assert set(doc) == {"loss", "mrr", "mr", "hits", "n_test", "protocol"}
+    assert set(doc) == {"loss", "mrr", "mr", "hits", "n_test", "protocol", "per_relation_mrr"}
     assert set(doc["hits"]) == {"1", "3", "10"}
     assert doc["protocol"] == "filtered"
 

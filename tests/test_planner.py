@@ -215,6 +215,56 @@ def test_warm_start_seeds_shared_rows():
         generate_plan(graph, query, frozen, warm_start=mismatched)
 
 
+def test_fold_in_keeps_checkpoint_rows_and_trains_new_ones():
+    graph = small_world()
+    base_model, _ = train(graph, FAST_HP)
+    query = radiation_input_context()
+    _, prov = generate_plan(graph, query, FAST_HP, warm_start=base_model)
+    model, vocab = prov.model, prov.model.vocab
+    for name, j in base_model.vocab.entity_index.items():
+        i = vocab.entity_index[name]
+        assert np.array_equal(model.ent_re[i], base_model.ent_re[j])
+        assert np.array_equal(model.ent_im[i], base_model.ent_im[j])
+    for name, j in base_model.vocab.relation_index.items():
+        i = vocab.relation_index[name]
+        assert np.array_equal(model.rel_re[i], base_model.rel_re[j])
+        assert np.array_equal(model.rel_im[i], base_model.rel_im[j])
+    new = [i for name, i in vocab.entity_index.items()
+           if name not in base_model.vocab.entity_index]
+    assert query.attribute_node(query.attributes[0].name) in vocab.entities
+    assert len(new) > len(query.attributes)
+    cold = init_model(vocab, FAST_HP.k, FAST_HP.seed)
+    for i in new:
+        assert not np.allclose(model.ent_re[i], cold.ent_re[i])
+    assert len(prov.train_report.losses) == FAST_HP.epochs
+
+
+def test_fold_in_trains_a_relation_the_checkpoint_lacks():
+    world = small_world()
+    graph = TripleGraph.from_triples(t for t in world if t.relation != "hasSecurityLevel")
+    base_model, _ = train(graph, FAST_HP)
+    assert "hasSecurityLevel" not in base_model.vocab.relation_index
+    query = radiation_input_context()
+    _, prov = generate_plan(graph, query, FAST_HP, warm_start=base_model)
+    r = prov.model.vocab.relation_index["hasSecurityLevel"]
+    cold = init_model(prov.model.vocab, FAST_HP.k, FAST_HP.seed)
+    assert not np.allclose(prov.model.rel_re[r], cold.rel_re[r])
+    assert not np.allclose(prov.model.rel_im[r], cold.rel_im[r])
+
+
+def test_seeded_fold_in_is_bit_for_bit_reproducible():
+    graph = small_world()
+    base_model, _ = train(graph, FAST_HP)
+    query = radiation_input_context()
+    plan_a, prov_a = generate_plan(graph, query, FAST_HP, warm_start=base_model)
+    plan_b, prov_b = generate_plan(graph, query, FAST_HP, warm_start=base_model)
+    assert plan_a == plan_b
+    assert prov_a.raw_scores == prov_b.raw_scores
+    assert prov_a.train_report.losses == prov_b.train_report.losses
+    for left, right in zip(prov_a.model.arrays(), prov_b.model.arrays()):
+        assert np.array_equal(left, right)
+
+
 def two_plans() -> tuple[AssessmentPlan, AssessmentPlan, ContextDescriptor]:
     ctx = ContextDescriptor(
         context_id="survey",

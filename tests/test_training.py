@@ -7,6 +7,7 @@ import pytest
 from qakge.errors import InputError, TrainingDiverged
 from qakge.model import init_model
 from qakge.training import Hyperparams, beta_value, hyperparams_from_dict, train
+from qakge.triples import Vocabulary
 
 from .helpers import toy_graph
 
@@ -27,19 +28,6 @@ def test_different_seed_changes_result():
     model_a, _ = train(graph, SMALL)
     model_b, _ = train(graph, dataclasses.replace(SMALL, seed=4))
     assert any(not np.array_equal(a, b) for a, b in zip(model_a.arrays(), model_b.arrays()))
-
-
-def test_threaded_run_is_self_deterministic_and_near_serial():
-    graph = toy_graph()
-    hp = dataclasses.replace(SMALL, batch_size=64)  # one 50-row batch, chunked
-    serial, _ = train(graph, hp)
-    threaded_a, _ = train(graph, hp, workers=2)
-    threaded_b, _ = train(graph, hp, workers=2)
-    for left, right in zip(threaded_a.arrays(), threaded_b.arrays()):
-        assert np.array_equal(left, right)
-    for left, right in zip(serial.arrays(), threaded_a.arrays()):
-        # chunked reduction reorders float sums, so equality is approximate
-        assert np.allclose(left, right, rtol=1e-7, atol=1e-10)
 
 
 def test_loss_trace_shape_and_progress():
@@ -115,13 +103,31 @@ def test_warm_start_rejects_mismatches():
         train(graph, SMALL, initial=init_model(graph.vocab, SMALL.k + 1, seed=0))
 
 
-def test_empty_graph_and_bad_workers_rejected():
+def test_empty_graph_rejected():
     from qakge.triples import TripleGraph
 
     with pytest.raises(InputError, match="empty"):
         train(TripleGraph.from_triples([]), SMALL)
-    with pytest.raises(InputError, match="workers"):
-        train(toy_graph(), SMALL, workers=0)
+
+
+def test_frozen_rows_keep_their_values_and_the_rest_train():
+    graph = toy_graph()
+    seeded = init_model(graph.vocab, SMALL.k, seed=999)
+    frozen = Vocabulary.from_names(graph.vocab.entities[2:], graph.vocab.relations[1:])
+    model, report = train(graph, SMALL, initial=seeded, frozen=frozen)
+    assert np.array_equal(model.ent_re[2:], seeded.ent_re[2:])
+    assert np.array_equal(model.ent_im[2:], seeded.ent_im[2:])
+    assert np.array_equal(model.rel_re[1:], seeded.rel_re[1:])
+    assert np.array_equal(model.rel_im[1:], seeded.rel_im[1:])
+    assert not np.allclose(model.ent_re[:2], seeded.ent_re[:2])
+    assert not np.allclose(model.rel_re[:1], seeded.rel_re[:1])
+    assert len(report.losses) == SMALL.epochs
+
+
+def test_frozen_vocabulary_must_leave_rows_to_train():
+    graph = toy_graph()
+    with pytest.raises(InputError, match="nothing to train"):
+        train(graph, SMALL, frozen=graph.vocab)
 
 
 def test_hyperparams_validation():
