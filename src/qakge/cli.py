@@ -151,12 +151,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     hp = load_run_config(args.config).hyperparams
+    if args.seed is not None:
+        hp = replace(hp, seed=args.seed)
     model = load_checkpoint(args.model)
     graph = load_triples_csv(args.graph, percent=args.percent)
     ensure_same_vocab(model.vocab, graph.vocab)
     if args.test_fraction > 0:
         # same seed and fraction as training reproduce the same holdout
-        _, test_graph = split_train_test(graph, args.test_fraction, args.seed)
+        _, test_graph = split_train_test(graph, args.test_fraction, hp.seed)
     else:
         test_graph = graph
     metrics = evaluate(model, test_graph, graph, protocol=args.protocol, hp=hp)
@@ -319,8 +321,9 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="checkpoint file")
     common_graph(p)
     p.add_argument("--test-fraction", type=float, default=0.2,
-                   help="same fraction and --seed as training reproduce its holdout")
-    p.add_argument("--seed", type=int, default=0)
+                   help="same fraction and seed as training reproduce its holdout")
+    p.add_argument("--seed", type=int, default=None,
+                   help="split seed (default: the config's seed, as in train)")
     p.add_argument("--protocol", choices=PROTOCOLS, default="filtered")
     p.add_argument("--json-out", default=None)
     p.add_argument("--config", default=None,

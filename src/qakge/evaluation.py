@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import InputError
 from .model import ModelParams, score_all_objects, score_all_subjects
-from .objective import TrainingBatch, batch_objective
+from .objective import TrainingBatch
 from .sampling import sample_corruptions
-from .training import Hyperparams
+from .training import Hyperparams, loss_and_grad
 from .triples import TripleGraph
 
 PROTOCOLS = ("raw", "filtered")
@@ -84,6 +84,28 @@ def _resolve(model: ModelParams, triple: tuple[str, str, str]) -> tuple[int, int
         raise InputError(f"symbol not in model vocabulary: {exc.args[0]!r}") from exc
 
 
+def _rank_side(
+    model: ModelParams,
+    s: int,
+    p: int,
+    o: int,
+    side: str,
+    by_sp: Mapping[tuple[int, int], list[int]],
+    by_po: Mapping[tuple[int, int], list[int]],
+    filtered: bool,
+) -> int:
+    """Rank of the true entity when ``side`` of (s, p, o) is replaced by
+    every entity; filtered ranking skips the other known positives."""
+    if side == "object":
+        scores, true_idx, known = score_all_objects(model, s, p), o, by_sp.get((s, p), ())
+    else:
+        scores, true_idx, known = score_all_subjects(model, p, o), s, by_po.get((p, o), ())
+    excluded = None
+    if filtered:
+        excluded = np.array([e for e in known if e != true_idx], dtype=np.int64)
+    return _rank_from_scores(scores, true_idx, excluded)
+
+
 def rank_triple(
     model: ModelParams,
     triple: tuple[str, str, str],
@@ -97,16 +119,9 @@ def rank_triple(
     if mode not in PROTOCOLS:
         raise InputError(f"mode must be one of {PROTOCOLS}, got {mode!r}")
     s, p, o = _resolve(model, triple)
-    by_sp, by_po = _known_sets(known_positives, model) if mode == "filtered" else ({}, {})
-    if side == "object":
-        scores = score_all_objects(model, s, p)
-        true_idx = o
-        excluded = np.array([e for e in by_sp.get((s, p), []) if e != o], dtype=np.int64)
-    else:
-        scores = score_all_subjects(model, p, o)
-        true_idx = s
-        excluded = np.array([e for e in by_po.get((p, o), []) if e != s], dtype=np.int64)
-    return _rank_from_scores(scores, true_idx, excluded if mode == "filtered" else None)
+    filtered = mode == "filtered"
+    by_sp, by_po = _known_sets(known_positives, model) if filtered else ({}, {})
+    return _rank_side(model, s, p, o, side, by_sp, by_po, filtered)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +179,7 @@ def validation_loss(
         pos = idx[start : start + hp.batch_size]
         neg = sample_corruptions(pos, hp.eta, hp.corruption_mode, model.vocab, rng)
         batch = TrainingBatch(pos, weights[start : start + hp.batch_size], neg, hp.eta, beta)
-        total += batch_objective(model, batch, hp)
+        total += loss_and_grad(model, batch, hp)
     return total / len(graph)
 
 
@@ -190,23 +205,15 @@ def evaluate(
     if any(n < 1 for n in hits_at):
         raise InputError(f"hits_at cutoffs must be >= 1, got {hits_at}")
     known = known_positives.keys() if isinstance(known_positives, TripleGraph) else known_positives
-    by_sp, by_po = _known_sets(known, model) if protocol == "filtered" else ({}, {})
+    filtered = protocol == "filtered"
+    by_sp, by_po = _known_sets(known, model) if filtered else ({}, {})
 
     records: list[RankRecord] = []
     for t in test_graph.triples:
         s, p, o = _resolve(model, t.key)
-        obj_scores = score_all_objects(model, s, p)
-        excl_o = np.array([e for e in by_sp.get((s, p), []) if e != o], dtype=np.int64)
-        records.append(
-            RankRecord(t.source, t.relation, t.target, "object",
-                       _rank_from_scores(obj_scores, o, excl_o if protocol == "filtered" else None))
-        )
-        sub_scores = score_all_subjects(model, p, o)
-        excl_s = np.array([e for e in by_po.get((p, o), []) if e != s], dtype=np.int64)
-        records.append(
-            RankRecord(t.source, t.relation, t.target, "subject",
-                       _rank_from_scores(sub_scores, s, excl_s if protocol == "filtered" else None))
-        )
+        for side in ("object", "subject"):
+            rank = _rank_side(model, s, p, o, side, by_sp, by_po, filtered)
+            records.append(RankRecord(t.source, t.relation, t.target, side, rank))
 
     agg = aggregate_ranks([r.rank for r in records], hits_at)
     hp = hp if hp is not None else Hyperparams()

@@ -15,19 +15,20 @@ pairwise hinge over each positive and its eta corruptions,
     L = sum max(0, margin + g(neg) - g(pos)),
 
 plus an L_p penalty over the set of embeddings the batch touches.
+
+:func:`hinge_part` and :func:`regularizer_part` each return their term's
+loss and, given a :class:`Gradients`, accumulate its gradient.
+``training.loss_and_grad`` adds the two; it is the one entry point that
+training, validation and the tests share.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .errors import InputError
 from .model import ModelParams
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .training import Hyperparams
 
 
 def softplus(x):
@@ -53,39 +54,6 @@ def focuse_modulate(raw_score, weight, beta, is_positive: bool):
     alpha = beta + (1.0 - beta) * influence
     result = alpha * softplus(raw_score)
     return float(result) if np.ndim(result) == 0 else result
-
-
-def pairwise_loss(pos_scores, neg_scores, margin: float) -> float:
-    """Summed hinge over every (positive, corruption) pair.
-
-    ``neg_scores`` must hold a whole number of corruption groups: its length
-    is B * eta with rows i*eta..(i+1)*eta-1 belonging to positive i.
-    """
-    if margin < 0.0:
-        raise InputError(f"margin must be >= 0, got {margin}")
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    if pos.ndim != 1 or neg.ndim != 1 or pos.size == 0:
-        raise InputError("scores must be non-empty 1-d arrays")
-    if neg.size % pos.size != 0:
-        raise InputError(
-            f"corruption group mismatch: {neg.size} negatives for {pos.size} positives"
-        )
-    eta = neg.size // pos.size
-    viol = margin + neg.reshape(pos.size, eta) - pos[:, None]
-    return float(np.clip(viol, 0.0, None).sum())
-
-
-def lp_regularizer(embeddings: Iterable[np.ndarray], p: int, lam: float) -> float:
-    """lam * sum |x|^p over every component of the given arrays."""
-    if p < 1:
-        raise InputError(f"regularizer order p must be >= 1, got {p}")
-    if lam < 0.0:
-        raise InputError(f"regularizer weight must be >= 0, got {lam}")
-    total = 0.0
-    for arr in embeddings:
-        total += float(np.sum(np.abs(arr) ** p))
-    return lam * total
 
 
 @dataclass(frozen=True)
@@ -136,29 +104,6 @@ def _neg_weights(batch: TrainingBatch) -> np.ndarray:
     return np.repeat(batch.pos_weights, batch.eta)
 
 
-def _modulated_scores(model: ModelParams, batch: TrainingBatch):
-    from .model import score_triples
-
-    f_pos = score_triples(model, batch.pos)
-    f_neg = score_triples(model, batch.neg)
-    g_pos = focuse_modulate(f_pos, batch.pos_weights, batch.beta, True)
-    g_neg = focuse_modulate(f_neg, _neg_weights(batch), batch.beta, False)
-    return f_pos, f_neg, g_pos, g_neg
-
-
-def batch_objective(model: ModelParams, batch: TrainingBatch, hp: "Hyperparams") -> float:
-    """Hinge loss plus L_p penalty over the batch's touched embeddings."""
-    _, _, g_pos, g_neg = _modulated_scores(model, batch)
-    loss = pairwise_loss(g_pos, g_neg, hp.margin)
-    ent_rows, rel_rows = batch.touched_rows()
-    loss += lp_regularizer(
-        (model.ent_re[ent_rows], model.ent_im[ent_rows], model.rel_re[rel_rows], model.rel_im[rel_rows]),
-        hp.reg_p,
-        hp.reg_lambda,
-    )
-    return loss
-
-
 def _scatter_score_grads(
     model: ModelParams, grads: Gradients, idx: np.ndarray, coeff: np.ndarray
 ) -> None:
@@ -184,18 +129,25 @@ def _scatter_score_grads(
 
 
 def hinge_part(
-    model: ModelParams, batch: TrainingBatch, margin: float, grads: Gradients
+    model: ModelParams, batch: TrainingBatch, margin: float, grads: Gradients | None = None
 ) -> float:
-    """Accumulate the hinge term's gradient into ``grads``; returns its loss.
+    """Hinge loss of the batch; with ``grads``, its gradient is accumulated there.
 
     The hinge subgradient at an exactly-zero violation is taken as zero, so
     only strictly positive violations propagate.
     """
-    f_pos, f_neg, g_pos, g_neg = _modulated_scores(model, batch)
+    from .model import score_triples  # looked up per call, so wrappers on it apply
+
+    f_pos = score_triples(model, batch.pos)
+    f_neg = score_triples(model, batch.neg)
+    g_pos = focuse_modulate(f_pos, batch.pos_weights, batch.beta, True)
+    g_neg = focuse_modulate(f_neg, _neg_weights(batch), batch.beta, False)
     b, eta = batch.pos.shape[0], batch.eta
     viol = margin + g_neg.reshape(b, eta) - g_pos[:, None]
     active = viol > 0.0
     loss = float(viol[active].sum()) if active.any() else 0.0
+    if grads is None:
+        return loss
 
     w_pos = np.asarray(batch.pos_weights, dtype=np.float64)
     alpha_pos = batch.beta + (1.0 - batch.beta) * w_pos
@@ -215,32 +167,17 @@ def regularizer_part(
     rel_rows: np.ndarray,
     p: int,
     lam: float,
-    grads: Gradients,
+    grads: Gradients | None = None,
 ) -> float:
-    """Accumulate d/dx lam*|x|^p = lam * p * |x|^(p-1) * sign(x) for the
-    touched rows; returns the penalty value."""
+    """Penalty lam * sum |x|^p over the touched rows; with ``grads``,
+    d/dx = lam * p * |x|^(p-1) * sign(x) is accumulated there."""
     if lam == 0.0:
         return 0.0
     loss = 0.0
-    for rows, arr, g in (
-        (ent_rows, model.ent_re, grads.ent_re),
-        (ent_rows, model.ent_im, grads.ent_im),
-        (rel_rows, model.rel_re, grads.rel_re),
-        (rel_rows, model.rel_im, grads.rel_im),
-    ):
-        x = arr[rows]
+    for rows, name in ((ent_rows, "ent_re"), (ent_rows, "ent_im"),
+                       (rel_rows, "rel_re"), (rel_rows, "rel_im")):
+        x = getattr(model, name)[rows]
         loss += float(np.sum(np.abs(x) ** p))
-        g[rows] += lam * p * np.abs(x) ** (p - 1) * np.sign(x)
+        if grads is not None:
+            getattr(grads, name)[rows] += lam * p * np.abs(x) ** (p - 1) * np.sign(x)
     return lam * loss
-
-
-def gradient_of_loss(model: ModelParams, batch: TrainingBatch, hp: "Hyperparams") -> Gradients:
-    """Full analytic gradient of :func:`batch_objective` w.r.t. all parameters.
-
-    Returned arrays are dense and zero outside the touched rows.
-    """
-    grads = Gradients.zeros_like(model)
-    hinge_part(model, batch, hp.margin, grads)
-    ent_rows, rel_rows = batch.touched_rows()
-    regularizer_part(model, ent_rows, rel_rows, hp.reg_p, hp.reg_lambda, grads)
-    return grads

@@ -166,10 +166,11 @@ class _Adam:
         param -= scale * m / (np.sqrt(v / bc2) + self.eps)
 
 
-def _batch_loss_and_grad(
-    model: ModelParams, batch: TrainingBatch, hp: Hyperparams, grads: Gradients
+def loss_and_grad(
+    model: ModelParams, batch: TrainingBatch, hp: Hyperparams, grads: Gradients | None = None
 ) -> float:
-    """Hinge + regularizer loss for one batch, gradient accumulated in place."""
+    """Hinge + regularizer loss for one batch; with ``grads``, its gradient
+    is accumulated there in place."""
     loss = hinge_part(model, batch, hp.margin, grads)
     ent_rows, rel_rows = batch.touched_rows()
     loss += regularizer_part(model, ent_rows, rel_rows, hp.reg_p, hp.reg_lambda, grads)
@@ -240,7 +241,7 @@ def train(
             batch = TrainingBatch(pos, weights[take], neg, hp.eta, beta)
             for g in grads.arrays():
                 g.fill(0.0)
-            loss = _batch_loss_and_grad(model, batch, hp, grads)
+            loss = loss_and_grad(model, batch, hp, grads)
             if not np.isfinite(loss):
                 rows = _non_finite_rows(model, batch)
                 raise TrainingDiverged(epoch, batch_no, rows)

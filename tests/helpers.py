@@ -11,12 +11,20 @@ import random
 import numpy as np
 
 from qakge.model import ModelParams, init_model
-from qakge.objective import TrainingBatch, batch_objective
+from qakge.objective import Gradients, TrainingBatch
+from qakge.training import loss_and_grad
 from qakge.triples import TripleGraph, Vocabulary, WeightedTriple
 
 
+def dense_gradients(model: ModelParams, batch: TrainingBatch, hp) -> Gradients:
+    """Analytic gradient of the training loss, dense and zero outside touched rows."""
+    grads = Gradients.zeros_like(model)
+    loss_and_grad(model, batch, hp, grads)
+    return grads
+
+
 def fd_gradients(model: ModelParams, batch: TrainingBatch, hp, h: float = 1e-6) -> dict[str, np.ndarray]:
-    """Central finite differences of the batch objective, touched rows only."""
+    """Central finite differences of the training loss, touched rows only."""
     ent_rows, rel_rows = batch.touched_rows()
     out = {
         "ent_re": np.zeros_like(model.ent_re),
@@ -32,9 +40,9 @@ def fd_gradients(model: ModelParams, batch: TrainingBatch, hp, h: float = 1e-6) 
             for j in range(model.k):
                 orig = arr[i, j]
                 arr[i, j] = orig + h
-                f_plus = batch_objective(model, batch, hp)
+                f_plus = loss_and_grad(model, batch, hp)
                 arr[i, j] = orig - h
-                f_minus = batch_objective(model, batch, hp)
+                f_minus = loss_and_grad(model, batch, hp)
                 arr[i, j] = orig
                 out[name][i, j] = (f_plus - f_minus) / (2.0 * h)
     return out

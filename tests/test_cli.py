@@ -115,6 +115,26 @@ def test_eval_json_has_per_relation_mrr_and_config_sets_the_loss(capsys, world):
     assert configured["loss"] > default["loss"]  # the L_p penalty grows with reg_lambda
 
 
+def test_eval_takes_the_split_seed_from_the_config(capsys, world):
+    tmp_path, graph_path, _ = world
+    cfg_path = write_json(tmp_path / "cfg.json", {"hyperparams": {"seed": 7}})
+    ckpt = tmp_path / "model.ckpt"
+    assert run(capsys, "train", "--graph", graph_path, "--config", cfg_path, "--epochs", "2",
+               "--test-fraction", "0.2", "--out", str(ckpt))[0] == 0
+    docs = []
+    for name, extra in (("config.json", ()), ("flag.json", ("--seed", "7")),
+                        ("zero.json", ("--seed", "0"))):
+        metrics_path = tmp_path / name
+        code, _, _ = run(capsys, "eval", "--model", str(ckpt), "--graph", graph_path,
+                         "--config", cfg_path, "--test-fraction", "0.2",
+                         "--json-out", str(metrics_path), *extra)
+        assert code == 0
+        docs.append(metrics_path.read_text())
+    from_config, from_flag, seed_zero = docs
+    assert from_config == from_flag
+    assert from_config != seed_zero  # the seed picks the holdout
+
+
 def test_eval_rejects_foreign_checkpoint(capsys, world, tmp_path):
     _, graph_path, _ = world
     other_graph = tmp_path / "other.csv"

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from qakge.model import init_model
-from qakge.objective import Gradients, TrainingBatch, gradient_of_loss
+from qakge.objective import Gradients, TrainingBatch
 from qakge.training import Hyperparams
 
-from .helpers import fd_gradients, max_relative_error, random_batch, random_model, small_vocab
+from .helpers import (
+    dense_gradients,
+    fd_gradients,
+    max_relative_error,
+    random_batch,
+    random_model,
+    small_vocab,
+)
 
 
 def _grad_dict(g: Gradients) -> dict[str, np.ndarray]:
@@ -24,7 +31,7 @@ def test_analytic_matches_finite_differences_across_betas():
                              eta=int(rng.integers(1, 4)), beta=beta)
         hp = Hyperparams(k=k, margin=float(rng.uniform(0.1, 1.0)),
                          reg_p=4, reg_lambda=float(rng.uniform(0.0, 1e-2)))
-        analytic = _grad_dict(gradient_of_loss(model, batch, hp))
+        analytic = _grad_dict(dense_gradients(model, batch, hp))
         numeric = fd_gradients(model, batch, hp)
         err = max_relative_error(analytic, numeric)
         assert err <= 1e-4, f"trial {trial}: rel err {err:.2e} (beta={beta})"
@@ -39,7 +46,7 @@ def test_gradients_zero_outside_touched_rows(model8):
         eta=2,
         beta=0.5,
     )
-    g = gradient_of_loss(model8, batch, Hyperparams(k=4, reg_lambda=1e-3))
+    g = dense_gradients(model8, batch, Hyperparams(k=4, reg_lambda=1e-3))
     untouched_entities = [4, 5, 6, 7]
     for row in untouched_entities:
         assert np.all(g.ent_re[row] == 0.0)
@@ -64,7 +71,7 @@ def test_inactive_hinge_gives_pure_regularizer_gradient():
         beta=1.0,
     )
     lam, p = 1e-3, 4
-    g = gradient_of_loss(model, batch, Hyperparams(k=2, margin=0.5, reg_p=p, reg_lambda=lam))
+    g = dense_gradients(model, batch, Hyperparams(k=2, margin=0.5, reg_p=p, reg_lambda=lam))
     # every touched component's gradient is exactly lam * p * x^3 (p=4)
     for name, arr in zip(("ent_re", "ent_im", "rel_re", "rel_im"),
                          (model.ent_re, model.ent_im, model.rel_re, model.rel_im)):
@@ -87,7 +94,7 @@ def test_exact_kink_contributes_zero():
         eta=1,
         beta=1.0,
     )
-    g = gradient_of_loss(model, batch, Hyperparams(k=2, margin=0.0, reg_lambda=0.0))
+    g = dense_gradients(model, batch, Hyperparams(k=2, margin=0.0, reg_lambda=0.0))
     for arr in g.arrays():
         assert np.all(arr == 0.0)
 
@@ -96,9 +103,9 @@ def test_beta_one_gradients_ignore_weights(model8):
     rng = np.random.default_rng(9)
     base = random_batch(8, 3, rng, n_pos=5, eta=2, beta=1.0)
     hp = Hyperparams(k=4, reg_lambda=1e-3)
-    g1 = gradient_of_loss(model8, base, hp)
+    g1 = dense_gradients(model8, base, hp)
     reweighted = TrainingBatch(base.pos, np.full(5, 0.123), base.neg, base.eta, 1.0)
-    g2 = gradient_of_loss(model8, reweighted, hp)
+    g2 = dense_gradients(model8, reweighted, hp)
     for a, b in zip(g1.arrays(), g2.arrays()):
         assert np.array_equal(a, b)  # bit identical, not just close
 
@@ -110,7 +117,7 @@ def test_beta_zero_weights_change_gradients(model8):
     heavy = TrainingBatch(pos, np.array([1.0, 1.0]), neg, 1, 0.0)
     light = TrainingBatch(pos, np.array([0.0, 0.0]), neg, 1, 0.0)
     hp = Hyperparams(k=4, reg_lambda=0.0)
-    g_heavy = gradient_of_loss(model8, heavy, hp)
-    g_light = gradient_of_loss(model8, light, hp)
+    g_heavy = dense_gradients(model8, heavy, hp)
+    g_light = dense_gradients(model8, light, hp)
     assert any(not np.array_equal(a, b)
                for a, b in zip(g_heavy.arrays(), g_light.arrays()))

@@ -6,18 +6,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qakge.errors import InputError
+from qakge.model import init_model
 from qakge.objective import (
+    Gradients,
     TrainingBatch,
-    batch_objective,
     focuse_modulate,
-    lp_regularizer,
-    pairwise_loss,
+    hinge_part,
+    regularizer_part,
     sigmoid,
     softplus,
 )
-from qakge.training import Hyperparams
+from qakge.training import Hyperparams, loss_and_grad
 
-from .helpers import random_batch, random_model
+from .helpers import random_batch, small_vocab
+
+
+def _zero_model(n_entities: int, k: int):
+    model = init_model(small_vocab(n_entities, 1), k, seed=0)
+    for arr in model.arrays():
+        arr[:] = 0.0
+    return model
+
+
+def _softplus_inverse(g: float) -> float:
+    """Raw score whose softplus is g; 0 maps to -1000, whose softplus is exactly 0."""
+    return math.log(math.expm1(g)) if g > 0.0 else -1000.0
+
+
+def _hinge(g_pos, g_neg, margin: float) -> float:
+    """hinge_part at beta=1 over positives and grouped corruptions whose
+    modulated scores are g_pos and g_neg.
+
+    In the hand-set k=1 model entity 0 and relation 0 are 1 and every other
+    component is 0, so triple (0, 0, j) scores entity j's value, which holds
+    the raw score of one modulated score. Equal g give bit-equal scores.
+    """
+    g = [*g_pos, *g_neg]
+    model = _zero_model(len(g) + 1, 1)
+    model.ent_re[0, 0] = model.rel_re[0, 0] = 1.0
+    model.ent_re[1:, 0] = [_softplus_inverse(x) for x in g]
+    triples = np.array([[0, 0, j] for j in range(1, len(g) + 1)], dtype=np.int64)
+    b = len(g_pos)
+    batch = TrainingBatch(triples[:b], np.ones(b), triples[b:], len(g_neg) // b, 1.0)
+    return hinge_part(model, batch, margin)
+
+
+def _penalty(row, p: int, lam: float) -> float:
+    """regularizer_part with entity row 0 and relation row 0 touched; the
+    four matrices hold ``row`` = (ent_re, ent_im, rel_re, rel_im) there,
+    and the untouched entity row 1 holds 100 everywhere."""
+    k = len(row[0])
+    model = _zero_model(2, k)
+    for arr, values in zip(model.arrays(), row):
+        arr[0] = values
+    model.ent_re[1] = model.ent_im[1] = 100.0
+    touched = np.array([0])
+    return regularizer_part(model, touched, touched, p, lam)
 
 
 def test_softplus_values_and_stability():
@@ -82,37 +126,33 @@ def test_modulation_monotone_in_weight(raw, beta, w_low, w_high):
 
 def test_pairwise_hinge_worked_example():
     # violations: max(0, 0.5 + 0.8 - 1.0) = 0.3 and max(0, 0.5 + 0.9 - 0.5) = 0.9
-    pos = np.array([1.0, 0.5])
-    neg = np.array([0.8, 0.9])
-    assert pairwise_loss(pos, neg, 0.5) == pytest.approx(1.2, abs=1e-12)
+    assert _hinge([1.0, 0.5], [0.8, 0.9], 0.5) == pytest.approx(1.2, abs=1e-12)
     # satisfied pairs contribute zero
-    assert pairwise_loss(np.array([5.0]), np.array([1.0]), 0.5) == 0.0
+    assert _hinge([5.0], [1.0], 0.5) == 0.0
     # the exact kink counts as satisfied
-    assert pairwise_loss(np.array([1.5]), np.array([1.0]), 0.5) == 0.0
+    assert _hinge([1.5], [1.5], 0.0) == 0.0
 
 
 def test_pairwise_hinge_grouping():
     # eta=2: negatives [n11, n12, n21, n22] pair with positives [p1, p1, p2, p2]
-    pos = np.array([1.0, 2.0])
-    neg = np.array([1.0, 0.0, 2.5, 0.0])
     # margin 0.0: violations 0.0, 0.0, 0.5, 0.0
-    assert pairwise_loss(pos, neg, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert _hinge([1.0, 2.0], [1.0, 0.0, 2.5, 0.0], 0.0) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(InputError):
-        pairwise_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]), 0.5)
+        _hinge([1.0, 2.0], [1.0, 2.0, 3.0], 0.5)
 
 
-def test_lp_regularizer_worked_examples():
-    assert lp_regularizer([np.array([[2.0]])], 4, 1.0) == pytest.approx(16.0, abs=1e-12)
-    arrays = [np.array([[1.0]]), np.array([[-1.0]])]
-    assert lp_regularizer(arrays, 4, 1e-4) == pytest.approx(2e-4, abs=1e-18)
-    assert lp_regularizer([np.array([[3.0, -4.0]])], 2, 0.5) == pytest.approx(12.5, abs=1e-12)
-    assert lp_regularizer([np.zeros((2, 2))], 4, 1.0) == 0.0
+def test_regularizer_part_worked_examples():
+    assert _penalty(([2.0], [0.0], [0.0], [0.0]), 4, 1.0) == pytest.approx(16.0, abs=1e-12)
+    assert _penalty(([1.0], [0.0], [0.0], [-1.0]), 4, 1e-4) == pytest.approx(2e-4, abs=1e-18)
+    assert _penalty(([3.0, -4.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]), 2, 0.5) == pytest.approx(
+        12.5, abs=1e-12)
+    assert _penalty(([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]), 4, 1.0) == 0.0
 
 
 @given(st.floats(-30, 30), st.floats(-30, 30), st.floats(0, 5))
 @settings(max_examples=100, deadline=None)
-def test_pairwise_loss_nonnegative(p, n, margin):
-    assert pairwise_loss(np.array([p]), np.array([n]), margin) >= 0.0
+def test_pairwise_hinge_nonnegative(p, n, margin):
+    assert _hinge([float(softplus(p))], [float(softplus(n))], margin) >= 0.0
 
 
 def test_training_batch_validation():
@@ -127,11 +167,22 @@ def test_training_batch_validation():
     assert list(rel_rows) == [0]
 
 
-def test_batch_objective_is_finite_and_deterministic(model8):
+def test_loss_and_grad_is_finite_and_deterministic(model8):
     rng = np.random.default_rng(5)
     batch = random_batch(8, 3, rng)
     hp = Hyperparams(k=4, reg_lambda=1e-3)
-    a = batch_objective(model8, batch, hp)
-    b = batch_objective(model8, batch, hp)
+    a = loss_and_grad(model8, batch, hp)
+    b = loss_and_grad(model8, batch, hp)
     assert a == b
     assert np.isfinite(a) and a >= 0.0
+
+
+def test_loss_is_the_same_with_and_without_gradients(model8):
+    rng = np.random.default_rng(6)
+    for beta in (0.0, 0.3, 1.0):
+        batch = random_batch(8, 3, rng, beta=beta)
+        for hp in (Hyperparams(k=4, reg_lambda=1e-3), Hyperparams(k=4, reg_lambda=0.0)):
+            grads = Gradients.zeros_like(model8)
+            with_grads = loss_and_grad(model8, batch, hp, grads)
+            assert with_grads == loss_and_grad(model8, batch, hp)
+            assert any(np.abs(g).max() > 0.0 for g in grads.arrays())

@@ -141,6 +141,12 @@ def test_hyperparams_validation():
         Hyperparams(corruption_mode="sideways")
     with pytest.raises(InputError, match="beta_decay_epochs"):
         Hyperparams(beta_decay_epochs=-1)
+    with pytest.raises(InputError, match="margin"):
+        Hyperparams(margin=-0.1)
+    with pytest.raises(InputError, match="reg_p"):
+        Hyperparams(reg_p=0)
+    with pytest.raises(InputError, match="reg_lambda"):
+        Hyperparams(reg_lambda=-1e-4)
 
 
 def test_hyperparams_dict_round_trip():
