@@ -386,7 +386,7 @@ def plan_from_dict(doc: dict) -> AssessmentPlan:
             DimensionEdge(e["rule"], e["dimension"], float(e["weight"]))
             for e in doc["dimension_edges"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed plan edge: {exc}") from exc
     return AssessmentPlan(doc["context_id"], rule_edges, dim_edges)
 

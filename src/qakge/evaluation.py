@@ -177,7 +177,7 @@ def validation_loss(
     total = 0.0
     for start in range(0, len(graph), hp.batch_size):
         pos = idx[start : start + hp.batch_size]
-        neg = sample_corruptions(pos, hp.eta, hp.corruption_mode, model.vocab, rng)
+        neg = sample_corruptions(pos, hp.eta, model.vocab, rng)
         batch = TrainingBatch(pos, weights[start : start + hp.batch_size], neg, hp.eta, beta)
         total += loss_and_grad(model, batch, hp)
     return total / len(graph)

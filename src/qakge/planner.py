@@ -219,11 +219,7 @@ def generate_plan(
     t0 = time.perf_counter()
     merged = graph.extended(context_to_triples(new_context))
 
-    if warm_start is None:
-        model, report = train(merged, hp)
-    else:
-        initial = _carry_over(warm_start, merged, hp)
-        model, report = train(merged, hp, initial=initial, frozen=warm_start.vocab)
+    model, report = train(merged, hp, base=warm_start)
     stats = fit_calibration(model, merged)
 
     rules_avail = rule_pool(merged)
@@ -264,30 +260,6 @@ def generate_plan(
         model=model,
     )
     return plan, prov
-
-
-def _carry_over(
-    warm: ModelParams, merged: TripleGraph, hp: Hyperparams
-) -> ModelParams:
-    """Fresh init for the merged vocab with rows copied for shared names."""
-    from .model import init_model
-
-    if warm.k != hp.k:
-        raise InputError(
-            f"warm start dimension {warm.k} does not match configured k {hp.k}"
-        )
-    initial = init_model(merged.vocab, hp.k, hp.seed)
-    for name, i in merged.vocab.entity_index.items():
-        j = warm.vocab.entity_index.get(name)
-        if j is not None:
-            initial.ent_re[i] = warm.ent_re[j]
-            initial.ent_im[i] = warm.ent_im[j]
-    for name, i in merged.vocab.relation_index.items():
-        j = warm.vocab.relation_index.get(name)
-        if j is not None:
-            initial.rel_re[i] = warm.rel_re[j]
-            initial.rel_im[i] = warm.rel_im[j]
-    return initial
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,8 +15,6 @@ from .triples import Vocabulary
 
 logger = logging.getLogger(__name__)
 
-CORRUPTION_MODES = ("all", "batch")
-
 # redraw attempts before a self-identical corruption is kept
 MAX_RESAMPLE_ATTEMPTS = 100
 
@@ -24,7 +22,6 @@ MAX_RESAMPLE_ATTEMPTS = 100
 def sample_corruptions(
     batch: np.ndarray,
     eta: int,
-    mode: str,
     vocab: Vocabulary,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -32,26 +29,20 @@ def sample_corruptions(
     result belong to positive i.
 
     Each corruption picks a side uniformly (subject or object) and replaces
-    it with an entity drawn uniformly from the pool: the whole entity
-    vocabulary in ``all`` mode, the entities of this batch in ``batch`` mode.
+    it with an entity drawn uniformly from the whole entity vocabulary.
     """
     if eta < 1:
         raise InputError(f"eta must be >= 1, got {eta}")
     if batch.ndim != 2 or batch.shape[1] != 3:
         raise InputError(f"batch must be (B, 3) index array, got shape {batch.shape}")
-    if mode == "all":
-        pool = np.arange(vocab.n_entities, dtype=np.int64)
-    elif mode == "batch":
-        pool = np.unique(batch[:, [0, 2]])
-    else:
-        raise InputError(f"corruption mode must be one of {CORRUPTION_MODES}, got {mode!r}")
-    if pool.size < 2:
-        raise InputError(f"entity pool of size {pool.size}: cannot corrupt")
+    n = vocab.n_entities
+    if n < 2:
+        raise InputError(f"entity pool of size {n}: cannot corrupt")
 
     total = batch.shape[0] * eta
     base = np.repeat(batch, eta, axis=0)
     side = rng.integers(0, 2, size=total)  # 0 -> subject, 1 -> object
-    repl = pool[rng.integers(0, pool.size, size=total)]
+    repl = rng.integers(0, n, size=total)
     col = side * 2
     rows = np.arange(total)
     bad = repl == base[rows, col]
@@ -60,7 +51,7 @@ def sample_corruptions(
     while bad.any() and attempts < MAX_RESAMPLE_ATTEMPTS:
         hit = np.flatnonzero(bad)
         side[hit] = rng.integers(0, 2, size=hit.size)
-        repl[hit] = pool[rng.integers(0, pool.size, size=hit.size)]
+        repl[hit] = rng.integers(0, n, size=hit.size)
         col[hit] = side[hit] * 2
         bad[hit] = repl[hit] == base[hit, col[hit]]
         attempts += 1

@@ -7,6 +7,7 @@ final parameters bit for bit.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass, fields
 
@@ -15,10 +16,15 @@ import numpy as np
 from .errors import InputError, TrainingDiverged
 from .model import ModelParams, init_model, score_triples
 from .objective import Gradients, TrainingBatch, hinge_part, regularizer_part
-from .sampling import CORRUPTION_MODES, sample_corruptions
-from .triples import TripleGraph, Vocabulary
+from .sampling import sample_corruptions
+from .triples import TripleGraph
 
 logger = logging.getLogger(__name__)
+
+# Adam moment decays and denominator floor (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -36,17 +42,19 @@ class Hyperparams:
     learning_rate: float = 1e-5
     margin: float = 0.5
     epochs: int = 5000
-    corruption_mode: str = "all"
     reg_p: int = 4
     reg_lambda: float = 1e-4
     beta_decay_epochs: int | None = None
     focuse: bool = True
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
+        counts = (self.k, self.eta, self.batch_size, self.epochs, self.reg_p, self.seed,
+                  0 if self.beta_decay_epochs is None else self.beta_decay_epochs)
+        if not all(isinstance(v, numbers.Integral) for v in counts):
+            raise InputError(
+                "k, eta, batch_size, epochs, reg_p, seed and beta_decay_epochs must be integers"
+            )
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
         if self.eta < 1:
@@ -59,20 +67,12 @@ class Hyperparams:
             raise InputError(f"margin must be >= 0, got {self.margin}")
         if self.epochs < 1:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if self.corruption_mode not in CORRUPTION_MODES:
-            raise InputError(
-                f"corruption_mode must be one of {CORRUPTION_MODES}, got {self.corruption_mode!r}"
-            )
         if self.reg_p < 1:
             raise InputError(f"reg_p must be >= 1, got {self.reg_p}")
         if self.reg_lambda < 0.0:
             raise InputError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
         if self.beta_decay_epochs is not None and self.beta_decay_epochs < 0:
             raise InputError(f"beta_decay_epochs must be >= 0, got {self.beta_decay_epochs}")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise InputError("adam moment decays must lie in [0, 1)")
-        if self.adam_eps <= 0.0:
-            raise InputError(f"adam_eps must be > 0, got {self.adam_eps}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -87,7 +87,10 @@ def hyperparams_from_dict(doc: dict) -> Hyperparams:
     unknown = set(doc) - _HP_KEYS
     if unknown:
         raise InputError(f"unknown hyperparameter fields: {sorted(unknown)}")
-    return Hyperparams(**doc)
+    try:
+        return Hyperparams(**doc)
+    except TypeError as exc:
+        raise InputError(f"malformed hyperparameter value: {exc}") from exc
 
 
 def beta_value(epoch: int, hp: Hyperparams) -> float:
@@ -125,45 +128,28 @@ class TrainReport:
 class _Adam:
     """Adam with bias correction; one moment pair per matrix.
 
-    With ``rows`` (entity rows, relation rows) only those rows are updated
-    and the moments are sized to them; otherwise every row is.
+    ``rows`` (entity rows, relation rows) index the rows that are updated,
+    ``slice(None)`` for all of them; the moments are sized to them.
     """
 
-    def __init__(self, model: ModelParams, hp: Hyperparams,
-                 rows: tuple[np.ndarray, np.ndarray] | None = None):
-        self.lr = hp.learning_rate
-        self.b1 = hp.adam_beta1
-        self.b2 = hp.adam_beta2
-        self.eps = hp.adam_eps
+    def __init__(self, model: ModelParams, lr: float, rows: tuple):
+        self.lr = lr
         self.t = 0
-        self.rows = None if rows is None else (rows[0], rows[0], rows[1], rows[1])
-        arrays = model.arrays()
-        if self.rows is not None:
-            arrays = [a[r] for a, r in zip(arrays, self.rows)]
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.rows = (rows[0], rows[0], rows[1], rows[1])
+        self.m = [np.zeros_like(a[r]) for a, r in zip(model.arrays(), self.rows)]
+        self.v = [np.zeros_like(m) for m in self.m]
 
     def step(self, model: ModelParams, grads: Gradients) -> None:
         self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
-        scale = self.lr / bc1
-        moments = zip(model.arrays(), grads.arrays(), self.m, self.v)
-        if self.rows is None:
-            for param, g, m, v in moments:
-                self._update(param, g, m, v, scale, bc2)
-            return
-        for (param, g, m, v), rows in zip(moments, self.rows):
-            part = param[rows]
-            self._update(part, g[rows], m, v, scale, bc2)
-            param[rows] = part
-
-    def _update(self, param, g, m, v, scale: float, bc2: float) -> None:
-        m *= self.b1
-        m += (1.0 - self.b1) * g
-        v *= self.b2
-        v += (1.0 - self.b2) * np.square(g)
-        param -= scale * m / (np.sqrt(v / bc2) + self.eps)
+        bc2 = 1.0 - ADAM_BETA2**self.t
+        scale = self.lr / (1.0 - ADAM_BETA1**self.t)
+        for param, g, m, v, rows in zip(model.arrays(), grads.arrays(), self.m, self.v, self.rows):
+            g = g[rows]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * np.square(g)
+            param[rows] -= scale * m / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def loss_and_grad(
@@ -177,54 +163,58 @@ def loss_and_grad(
     return loss
 
 
-def _trainable(
-    vocab: Vocabulary, frozen: Vocabulary, idx: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Entity and relation rows whose names ``frozen`` lacks, and a mask of
-    the triples that touch at least one of them."""
-    ent = np.array([name not in frozen.entity_index for name in vocab.entities], dtype=bool)
-    rel = np.array([name not in frozen.relation_index for name in vocab.relations], dtype=bool)
-    if not (ent.any() or rel.any()):
-        raise InputError("frozen vocabulary covers every row: nothing to train")
-    touches = ent[idx[:, 0]] | rel[idx[:, 1]] | ent[idx[:, 2]]
-    return (np.flatnonzero(ent), np.flatnonzero(rel)), touches
+def _fold_in(
+    graph: TripleGraph, hp: Hyperparams, base: ModelParams
+) -> tuple[ModelParams, np.ndarray, np.ndarray]:
+    """Fresh init for the graph's vocabulary with every row ``base`` names
+    copied from it, and masks of the entity and relation rows it lacks."""
+    if base.k != hp.k:
+        raise InputError(f"warm start dimension {base.k} does not match configured k {hp.k}")
+    model = init_model(graph.vocab, hp.k, hp.seed)
+    fresh = []
+    for ours, theirs, pairs in (
+        (graph.vocab.entities, base.vocab.entity_index,
+         ((model.ent_re, base.ent_re), (model.ent_im, base.ent_im))),
+        (graph.vocab.relations, base.vocab.relation_index,
+         ((model.rel_re, base.rel_re), (model.rel_im, base.rel_im))),
+    ):
+        shared = np.array([name in theirs for name in ours], dtype=bool)
+        rows = [theirs[name] for name in ours if name in theirs]
+        for dst, src in pairs:
+            dst[shared] = src[rows]
+        fresh.append(~shared)
+    if not (fresh[0].any() or fresh[1].any()):
+        raise InputError("base model covers every row: nothing to train")
+    return model, fresh[0], fresh[1]
 
 
 def train(
-    graph: TripleGraph,
-    hp: Hyperparams,
-    *,
-    initial: ModelParams | None = None,
-    frozen: Vocabulary | None = None,
+    graph: TripleGraph, hp: Hyperparams, *, base: ModelParams | None = None
 ) -> tuple[ModelParams, TrainReport]:
     """Fit embeddings to a weighted graph.
 
-    ``initial`` warm-starts from existing parameters (their vocabulary must
-    match the graph's). With ``frozen``, every entity and relation row whose
-    name it contains keeps its starting value: only the other rows are
-    optimized, only on the triples that touch one of them, and the optimizer
-    state covers only those rows. Corruptions are still drawn from the whole
-    vocabulary. Raises :class:`TrainingDiverged` with the epoch, batch, and
-    offending triple rows if the loss leaves the finite range.
+    Without ``base`` every row starts from ``init_model`` and is trained.
+    With it, the graph is folded into that model: every entity and relation
+    row whose name ``base`` has is copied from it and keeps that value, and
+    only the other rows are optimized, only on the triples that touch one of
+    them. Corruptions are still drawn from the whole vocabulary. Raises
+    :class:`TrainingDiverged` with the epoch, batch, and offending triple
+    rows if the loss leaves the finite range.
     """
     if len(graph) == 0:
         raise InputError("cannot train on an empty graph")
     idx, weights = graph.index_arrays()
-    if initial is None:
+    if base is None:
         model = init_model(graph.vocab, hp.k, hp.seed)
+        trainable = (slice(None), slice(None))
     else:
-        if initial.vocab != graph.vocab:
-            raise InputError("warm-start parameters use a different vocabulary than the graph")
-        if initial.k != hp.k:
-            raise InputError(f"warm-start k={initial.k} does not match hp.k={hp.k}")
-        model = initial.copy()
-    trainable = None
-    if frozen is not None:
-        trainable, touches = _trainable(graph.vocab, frozen, idx)
+        model, ent, rel = _fold_in(graph, hp, base)
+        touches = ent[idx[:, 0]] | rel[idx[:, 1]] | ent[idx[:, 2]]
         idx, weights = idx[touches], weights[touches]
+        trainable = (np.flatnonzero(ent), np.flatnonzero(rel))
 
     rng = np.random.default_rng((hp.seed, 1))
-    adam = _Adam(model, hp, trainable)
+    adam = _Adam(model, hp.learning_rate, trainable)
     grads = Gradients.zeros_like(model)
     n = idx.shape[0]
     losses: list[float] = []
@@ -237,7 +227,7 @@ def train(
         for batch_no, start in enumerate(range(0, n, hp.batch_size)):
             take = perm[start : start + hp.batch_size]
             pos = idx[take]
-            neg = sample_corruptions(pos, hp.eta, hp.corruption_mode, graph.vocab, rng)
+            neg = sample_corruptions(pos, hp.eta, graph.vocab, rng)
             batch = TrainingBatch(pos, weights[take], neg, hp.eta, beta)
             for g in grads.arrays():
                 g.fill(0.0)

@@ -226,6 +226,31 @@ def test_compare_command_prints_and_saves(capsys, tmp_path):
                "--context", ctx_path)[0] == 1
 
 
+def test_malformed_config_value_exits_one(capsys, world):
+    tmp_path, graph_path, _ = world
+    for value in ("8", 8.5):
+        config = write_json(tmp_path / "c.json", {"hyperparams": {"k": value}})
+        code, _, err = run(capsys, "train", "--graph", graph_path, "--config", config,
+                           "--out", str(tmp_path / "m.ckpt"))
+        assert code == 1
+        assert "error:" in err
+
+
+def test_malformed_plan_weight_exits_one(capsys, tmp_path):
+    ctx = ContextDescriptor(context_id="survey", data_type="structured",
+                            attributes=(Attribute("x", "numeric"),))
+    plan = plan_to_dict(AssessmentPlan("survey", (RuleEdge("survey_attr_x", "range_check", 0.9),),
+                                       (DimensionEdge("range_check", "accuracy", 0.8),)))
+    plan_path = write_json(tmp_path / "plan.json", plan)
+    plan["dimension_edges"][0]["weight"] = "heavy"
+    bad_path = write_json(tmp_path / "bad.json", plan)
+    ctx_path = write_json(tmp_path / "ctx.json", context_to_dict(ctx))
+    code, _, err = run(capsys, "compare", "--plan-a", plan_path, "--plan-b", bad_path,
+                       "--context", ctx_path)
+    assert code == 1
+    assert "error:" in err
+
+
 def test_gridsearch_command_writes_sorted_leaderboard(capsys, world):
     tmp_path, graph_path, _ = world
     grid_path = write_json(tmp_path / "grid.json", {"margin": [0.2, 0.5]})

@@ -22,7 +22,7 @@ def test_shapes_and_grouping():
     vocab = small_vocab(8, 3)
     batch = _positives(rng, 5)
     eta = 4
-    neg = sample_corruptions(batch, eta, "all", vocab, rng)
+    neg = sample_corruptions(batch, eta, vocab, rng)
     assert neg.shape == (20, 3)
     for i in range(5):
         group = neg[i * eta : (i + 1) * eta]
@@ -36,20 +36,11 @@ def test_shapes_and_grouping():
             assert not np.array_equal(row, batch[i])
 
 
-def test_batch_mode_draws_from_batch_entities():
-    rng = np.random.default_rng(1)
-    vocab = small_vocab(50, 2)
-    batch = np.array([[0, 0, 1], [2, 1, 3], [4, 0, 5]], dtype=np.int64)
-    neg = sample_corruptions(batch, 10, "batch", vocab, rng)
-    pool = {0, 1, 2, 3, 4, 5}
-    assert set(neg[:, 0]) | set(neg[:, 2]) <= pool
-
-
 def test_determinism():
     vocab = small_vocab(8, 3)
     batch = _positives(np.random.default_rng(2), 6)
-    a = sample_corruptions(batch, 3, "all", vocab, np.random.default_rng(7))
-    b = sample_corruptions(batch, 3, "all", vocab, np.random.default_rng(7))
+    a = sample_corruptions(batch, 3, vocab, np.random.default_rng(7))
+    b = sample_corruptions(batch, 3, vocab, np.random.default_rng(7))
     assert np.array_equal(a, b)
 
 
@@ -57,12 +48,7 @@ def test_tiny_pool_rejected():
     vocab = small_vocab(1, 1)
     batch = np.array([[0, 0, 0]], dtype=np.int64)
     with pytest.raises(InputError):
-        sample_corruptions(batch, 2, "all", vocab, np.random.default_rng(0))
-    # batch mode with a single distinct entity also fails
-    vocab2 = small_vocab(10, 1)
-    batch2 = np.array([[3, 0, 3]], dtype=np.int64)
-    with pytest.raises(InputError):
-        sample_corruptions(batch2, 2, "batch", vocab2, np.random.default_rng(0))
+        sample_corruptions(batch, 2, vocab, np.random.default_rng(0))
 
 
 def test_invalid_args():
@@ -70,9 +56,7 @@ def test_invalid_args():
     batch = np.array([[0, 0, 1]], dtype=np.int64)
     rng = np.random.default_rng(0)
     with pytest.raises(InputError):
-        sample_corruptions(batch, 0, "all", vocab, rng)
-    with pytest.raises(InputError):
-        sample_corruptions(batch, 2, "everything", vocab, rng)
+        sample_corruptions(batch, 0, vocab, rng)
 
 
 class _StuckRng:
@@ -88,7 +72,7 @@ def test_unresolvable_collisions_kept_with_warning(caplog):
     vocab = small_vocab(4, 1)
     batch = np.array([[0, 0, 0]], dtype=np.int64)
     with caplog.at_level(logging.WARNING, logger="qakge.sampling"):
-        neg = sample_corruptions(batch, 3, "all", vocab, _StuckRng())
+        neg = sample_corruptions(batch, 3, vocab, _StuckRng())
     assert neg.shape == (3, 3)
     assert np.array_equal(neg, np.zeros((3, 3), dtype=np.int64))
     assert any("kept" in r.message for r in caplog.records)
@@ -99,7 +83,7 @@ def test_resolvable_collisions_resolve_silently(caplog):
     vocab = small_vocab(2, 1)
     batch = np.array([[0, 0, 1]], dtype=np.int64)
     with caplog.at_level(logging.WARNING, logger="qakge.sampling"):
-        neg = sample_corruptions(batch, 50, "all", vocab, np.random.default_rng(3))
+        neg = sample_corruptions(batch, 50, vocab, np.random.default_rng(3))
     for row in neg:
         assert not np.array_equal(row, batch[0])
     assert not caplog.records

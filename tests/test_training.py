@@ -83,24 +83,40 @@ def test_final_beta_matches_last_epoch():
 
 def test_warm_start_is_used():
     graph = toy_graph()
-    hp = dataclasses.replace(SMALL, epochs=1, learning_rate=1e-12)
-    seeded = init_model(graph.vocab, hp.k, seed=999)
-    cold = init_model(graph.vocab, hp.k, seed=hp.seed)
-    warmed, _ = train(graph, hp, initial=seeded)
-    for done, given in zip(warmed.arrays(), seeded.arrays()):
-        assert np.allclose(done, given, atol=1e-9)
-    assert any(not np.allclose(a, b) for a, b in zip(warmed.arrays(), cold.arrays()))
-    for given, before in zip(seeded.arrays(), init_model(graph.vocab, hp.k, seed=999).arrays()):
-        assert np.array_equal(given, before)  # caller's params never mutated
+    vocab = graph.vocab
+    base_vocab = Vocabulary.from_names(
+        vocab.entities[5:] + ("unused",), vocab.relations[1:] + ("r_unused",))
+    base = init_model(base_vocab, SMALL.k, seed=999)
+    model, _ = train(graph, SMALL, base=base)
+    cold = init_model(vocab, SMALL.k, seed=SMALL.seed)
+    for names, ours, theirs, matrices in (
+        (vocab.entities[5:], vocab.entity_index, base_vocab.entity_index, (0, 1)),
+        (vocab.relations[1:], vocab.relation_index, base_vocab.relation_index, (2, 3)),
+    ):
+        i = [ours[name] for name in names]
+        j = [theirs[name] for name in names]
+        for m in matrices:
+            assert np.array_equal(model.arrays()[m][i], base.arrays()[m][j])
+            assert not np.allclose(model.arrays()[m][i], cold.arrays()[m][i])
+    for given, before in zip(base.arrays(), init_model(base_vocab, SMALL.k, seed=999).arrays()):
+        assert np.array_equal(given, before)  # caller's base never mutated
 
 
 def test_warm_start_rejects_mismatches():
     graph = toy_graph()
-    other = toy_graph(n_entities=12, n_triples=30, seed=5)
-    with pytest.raises(InputError, match="vocabulary"):
-        train(graph, SMALL, initial=init_model(other.vocab, SMALL.k, seed=0))
-    with pytest.raises(InputError, match="k="):
-        train(graph, SMALL, initial=init_model(graph.vocab, SMALL.k + 1, seed=0))
+    with pytest.raises(InputError, match="warm start dimension"):
+        train(graph, SMALL, base=init_model(graph.vocab, SMALL.k + 1, seed=0))
+
+
+def test_base_sharing_no_name_trains_like_a_cold_start():
+    # every row is then trained, through index arrays instead of slices
+    graph = toy_graph()
+    stranger = init_model(Vocabulary.from_names(["x", "y"], ["q"]), SMALL.k, seed=999)
+    cold, cold_report = train(graph, SMALL)
+    folded, folded_report = train(graph, SMALL, base=stranger)
+    for left, right in zip(cold.arrays(), folded.arrays()):
+        assert np.array_equal(left, right)
+    assert cold_report.losses == folded_report.losses
 
 
 def test_empty_graph_rejected():
@@ -112,22 +128,23 @@ def test_empty_graph_rejected():
 
 def test_frozen_rows_keep_their_values_and_the_rest_train():
     graph = toy_graph()
-    seeded = init_model(graph.vocab, SMALL.k, seed=999)
-    frozen = Vocabulary.from_names(graph.vocab.entities[2:], graph.vocab.relations[1:])
-    model, report = train(graph, SMALL, initial=seeded, frozen=frozen)
-    assert np.array_equal(model.ent_re[2:], seeded.ent_re[2:])
-    assert np.array_equal(model.ent_im[2:], seeded.ent_im[2:])
-    assert np.array_equal(model.rel_re[1:], seeded.rel_re[1:])
-    assert np.array_equal(model.rel_im[1:], seeded.rel_im[1:])
-    assert not np.allclose(model.ent_re[:2], seeded.ent_re[:2])
-    assert not np.allclose(model.rel_re[:1], seeded.rel_re[:1])
+    sub = Vocabulary.from_names(graph.vocab.entities[2:], graph.vocab.relations[1:])
+    base = init_model(sub, SMALL.k, seed=999)
+    cold = init_model(graph.vocab, SMALL.k, seed=SMALL.seed)
+    model, report = train(graph, SMALL, base=base)
+    assert np.array_equal(model.ent_re[2:], base.ent_re)
+    assert np.array_equal(model.ent_im[2:], base.ent_im)
+    assert np.array_equal(model.rel_re[1:], base.rel_re)
+    assert np.array_equal(model.rel_im[1:], base.rel_im)
+    assert not np.allclose(model.ent_re[:2], cold.ent_re[:2])
+    assert not np.allclose(model.rel_re[:1], cold.rel_re[:1])
     assert len(report.losses) == SMALL.epochs
 
 
 def test_frozen_vocabulary_must_leave_rows_to_train():
     graph = toy_graph()
     with pytest.raises(InputError, match="nothing to train"):
-        train(graph, SMALL, frozen=graph.vocab)
+        train(graph, SMALL, base=init_model(graph.vocab, SMALL.k, seed=0))
 
 
 def test_hyperparams_validation():
@@ -135,10 +152,10 @@ def test_hyperparams_validation():
         Hyperparams(learning_rate=0.0)
     with pytest.raises(InputError, match="k must"):
         Hyperparams(k=0)
+    with pytest.raises(InputError, match="integers"):
+        Hyperparams(epochs=2.5)
     with pytest.raises(InputError, match="eta"):
         Hyperparams(eta=0)
-    with pytest.raises(InputError, match="corruption_mode"):
-        Hyperparams(corruption_mode="sideways")
     with pytest.raises(InputError, match="beta_decay_epochs"):
         Hyperparams(beta_decay_epochs=-1)
     with pytest.raises(InputError, match="margin"):
