@@ -54,7 +54,7 @@ from .planner import (
     fit_calibration,
     generate_plan,
 )
-from .profiling import ProfileOverlay, infer_attribute_type, profile_dataset
+from .profiling import infer_attribute_type, profile_dataset
 from .synth import GeneratorConfig, build_radiation_scenario, generate_synthetic_graph
 from .training import Hyperparams, TrainReport, train
 from .triples import (
@@ -88,7 +88,6 @@ __all__ = [
     "NoMatchError",
     "NodeEmbeddings",
     "PlanComparison",
-    "ProfileOverlay",
     "QakgeError",
     "RuleEdge",
     "TrainReport",

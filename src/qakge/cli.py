@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import numbers
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -19,6 +20,7 @@ from .contexts import (
     context_from_dict,
     context_to_dict,
     context_to_triples,
+    from_json_object,
     load_json,
     plan_from_dict,
     plan_to_dict,
@@ -27,11 +29,11 @@ from .contexts import (
 from .errors import InputError, QakgeError
 from .evaluation import PROTOCOLS, evaluate
 from .gridsearch import grid_search
-from .node2vec import BaselineConfig, baseline_config_from_dict, baseline_plan, embed_graph
+from .node2vec import BaselineConfig, baseline_plan, embed_graph
 from .planner import compare_plans, comparison_report, generate_plan
-from .profiling import overlay_from_dict, profile_dataset
-from .synth import GeneratorConfig, generate_synthetic_graph, generator_config_from_dict
-from .training import Hyperparams, hyperparams_from_dict, train
+from .profiling import profile_dataset
+from .synth import GeneratorConfig, generate_synthetic_graph
+from .training import Hyperparams, train
 from .triples import load_triples_csv, save_triples_csv, split_train_test
 
 logger = logging.getLogger(__name__)
@@ -45,48 +47,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Structured config file contents; every section optional."""
+class PlannerConfig:
+    """The ``planner`` section: calibrated-score cutoff and rules per attribute."""
 
-    hyperparams: Hyperparams = field(default_factory=Hyperparams)
-    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    baseline: BaselineConfig = field(default_factory=BaselineConfig)
     tau: float = 0.5
     top_m: int = 3
 
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise InputError(f"planner tau must lie in [0, 1], got {self.tau}")
+        if not isinstance(self.top_m, numbers.Integral):
+            raise InputError(f"planner top_m must be an integer, got {self.top_m!r}")
         if self.top_m < 1:
             raise InputError(f"planner top_m must be >= 1, got {self.top_m}")
 
 
-_SECTIONS = ("hyperparams", "generator", "baseline", "planner")
+@dataclass(frozen=True, slots=True)
+class RunConfig:
+    """Structured config file contents; every section optional."""
+
+    hyperparams: Hyperparams = field(default_factory=Hyperparams)
+    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
+    baseline: BaselineConfig = field(default_factory=BaselineConfig)
+    planner: PlannerConfig = field(default_factory=PlannerConfig)
 
 
 def load_run_config(path: str | None) -> RunConfig:
     """Parse and fully validate a JSON config file; None gives all defaults."""
     if path is None:
         return RunConfig()
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise InputError(f"config must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - set(_SECTIONS)
-    if unknown:
-        raise InputError(f"unknown config sections: {sorted(unknown)}")
-    planner = doc.get("planner", {})
-    if not isinstance(planner, dict):
-        raise InputError("config section 'planner' must be an object")
-    extra = set(planner) - {"tau", "top_m"}
-    if extra:
-        raise InputError(f"unknown planner config keys: {sorted(extra)}")
-    return RunConfig(
-        hyperparams=hyperparams_from_dict(doc.get("hyperparams", {})),
-        generator=generator_config_from_dict(doc.get("generator", {})),
-        baseline=baseline_config_from_dict(doc.get("baseline", {})),
-        tau=planner.get("tau", 0.5),
-        top_m=planner.get("top_m", 3),
-    )
+    return from_json_object(RunConfig, load_json(path), "config")
 
 
 def _default_context_id(data_path: str) -> str:
@@ -109,14 +99,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    overlay_doc = load_json(args.overlay) if args.overlay else {}
-    if not isinstance(overlay_doc, dict):
+    overlay = load_json(args.overlay) if args.overlay else {}
+    if not isinstance(overlay, dict):
         raise InputError("overlay must be a JSON object")
     if args.context_id:
-        overlay_doc = {**overlay_doc, "context_id": args.context_id}
-    elif "context_id" not in overlay_doc:
-        overlay_doc = {**overlay_doc, "context_id": _default_context_id(args.data)}
-    overlay = overlay_from_dict(overlay_doc)
+        overlay = {**overlay, "context_id": args.context_id}
+    elif "context_id" not in overlay:
+        overlay = {**overlay, "context_id": _default_context_id(args.data)}
     ctx = profile_dataset(args.data, overlay, delimiter=args.delimiter)
     save_json(context_to_dict(ctx), args.out)
     print(f"profiled {args.data}: {len(ctx.attributes)} attributes -> {args.out}")
@@ -179,8 +168,8 @@ def cmd_plan(args) -> int:
         hp = replace(hp, seed=args.seed)
     if args.epochs is not None:
         hp = replace(hp, epochs=args.epochs)
-    tau = args.tau if args.tau is not None else cfg.tau
-    top_m = args.top_m if args.top_m is not None else cfg.top_m
+    tau = args.tau if args.tau is not None else cfg.planner.tau
+    top_m = args.top_m if args.top_m is not None else cfg.planner.top_m
     graph = load_triples_csv(args.graph, percent=args.percent)
     ctx = context_from_dict(load_json(args.context))
     warm = load_checkpoint(args.warm_start) if args.warm_start else None

@@ -8,7 +8,7 @@ measures to quality dimensions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -46,6 +46,10 @@ REL_ATTRIBUTE = "hasAttribute"
 REL_TYPE = "hasType"
 REL_QUALITY_RULE = "hasQualityRule"
 REL_CONTRIBUTES = "contributesTo"
+# inventory declarations: every measure and dimension node is one of these kinds
+REL_KIND = "isA"
+KIND_MEASURE = "quality_measure"
+KIND_DIMENSION = "quality_dimension"
 
 # scalar/list descriptor fields and their relations, in canonical emission order
 FIELD_RELATIONS: tuple[tuple[str, str], ...] = (
@@ -65,10 +69,6 @@ FIELD_RELATIONS: tuple[tuple[str, str], ...] = (
 
 _LIST_FIELDS = ("org_standards", "org_policies")
 
-CONTEXT_RELATIONS = (REL_SCHEMA, REL_ATTRIBUTE, REL_TYPE) + tuple(
-    rel for _, rel in FIELD_RELATIONS
-) + (REL_QUALITY_RULE, REL_CONTRIBUTES)
-
 
 @dataclass(frozen=True, slots=True)
 class Attribute:
@@ -78,8 +78,8 @@ class Attribute:
     type: AttributeType
 
     def __post_init__(self):
-        if not self.name:
-            raise InputError("attribute name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise InputError(f"attribute name must be a non-empty string, got {self.name!r}")
         if not isinstance(self.type, AttributeType):
             try:
                 object.__setattr__(self, "type", AttributeType(self.type))
@@ -112,13 +112,15 @@ class ContextDescriptor:
     est_time: str | None = None
 
     def __post_init__(self):
-        if not self.context_id:
-            raise InputError("context_id must be non-empty")
+        if not isinstance(self.context_id, str) or not self.context_id:
+            raise InputError(f"context_id must be a non-empty string, got {self.context_id!r}")
         if self.data_type not in DATA_TYPES:
             raise InputError(
                 f"data_type must be one of {DATA_TYPES}, got {self.data_type!r}"
             )
         object.__setattr__(self, "attributes", tuple(self.attributes))
+        if not all(isinstance(a, Attribute) for a in self.attributes):
+            raise InputError(f"context {self.context_id!r}: attributes must be Attribute entries")
         if self.data_type in ("structured", "semi-structured") and not self.attributes:
             raise InputError(
                 f"context {self.context_id!r}: {self.data_type} data requires at least one attribute"
@@ -126,10 +128,16 @@ class ContextDescriptor:
         names = [a.name for a in self.attributes]
         if len(names) != len(set(names)):
             raise InputError(f"context {self.context_id!r}: duplicate attribute names")
-        for f_name in _LIST_FIELDS:
+        for f_name, _ in FIELD_RELATIONS:
             value = getattr(self, f_name)
-            if value is not None:
+            if f_name in _LIST_FIELDS and value is not None:
+                if not is_list_of(value, str):
+                    raise InputError(f"context {self.context_id!r}: {f_name} must be a list "
+                                     f"of strings, got {value!r}")
                 object.__setattr__(self, f_name, tuple(value))
+            elif not isinstance(value, (str, type(None))):
+                raise InputError(f"context {self.context_id!r}: {f_name} must be a string, "
+                                 f"got {value!r}")
 
     @property
     def schema_node(self) -> str:
@@ -314,37 +322,15 @@ def context_to_dict(ctx: ContextDescriptor) -> dict:
     }
 
 
-_KNOWN_CONTEXT_KEYS = {f.name for f in fields(ContextDescriptor)}
-
-
 def context_from_dict(doc: dict) -> ContextDescriptor:
-    if not isinstance(doc, dict):
-        raise InputError(f"context document must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - _KNOWN_CONTEXT_KEYS
-    if unknown:
-        raise InputError(f"unknown context fields: {sorted(unknown)}")
-    for key in ("context_id", "data_type", "attributes"):
-        if key not in doc:
-            raise InputError(f"context document missing required field {key!r}")
-    raw_attrs = doc["attributes"]
-    if not isinstance(raw_attrs, list):
-        raise InputError("context field 'attributes' must be a list of {name, type} objects")
-    attributes = []
-    for item in raw_attrs:
-        if not isinstance(item, dict) or set(item) != {"name", "type"}:
-            raise InputError(f"bad attribute entry: {item!r}")
-        try:
-            attributes.append(Attribute(item["name"], AttributeType(item["type"])))
-        except ValueError:
-            raise InputError(f"unknown attribute type {item['type']!r}") from None
-    kwargs = {k: v for k, v in doc.items() if k not in ("context_id", "attributes") and v is not None}
-    for f_name in _LIST_FIELDS:
-        if f_name in kwargs:
-            kwargs[f_name] = tuple(kwargs[f_name])
-    # required text fields may arrive as null; treat as empty
-    for f_name in ("data_source", "size_bucket", "domain", "file_format"):
-        kwargs.setdefault(f_name, "")
-    return ContextDescriptor(context_id=doc["context_id"], attributes=tuple(attributes), **kwargs)
+    """Parse a context document; a null field takes its default."""
+    if isinstance(doc, dict):
+        doc = {k: v for k, v in doc.items() if v is not None}
+        if isinstance(doc.get("attributes"), list):
+            doc["attributes"] = [
+                from_json_object(Attribute, a, "attribute") for a in doc["attributes"]
+            ]
+    return from_json_object(ContextDescriptor, doc, "context")
 
 
 def plan_to_dict(plan: AssessmentPlan, raw_scores: dict[tuple[str, str], float] | None = None,
@@ -400,6 +386,42 @@ def load_json(path: str | Path) -> dict | list:
             return json.load(f)
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError:
+        raise InputError(f"{p}: not UTF-8 text") from None
+
+
+def from_json_object(cls, doc, what: str):
+    """Build the dataclass ``cls`` from a JSON object, the one way every
+    document and config section is read.
+
+    Unknown keys are rejected; JSON arrays become tuples; a field whose
+    default is a dataclass is itself read from its sub-object; and the
+    ``TypeError``/``ValueError`` that ``cls`` raises on a missing field or a
+    value of the wrong type becomes an :class:`InputError`. Range and type
+    checks belong to ``cls.__post_init__``.
+    """
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    factories = {f.name: f.default_factory for f in fields(cls)}
+    unknown = set(doc) - set(factories)
+    if unknown:
+        raise InputError(f"unknown {what} fields: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in doc.items():
+        if is_dataclass(factories[key]):
+            value = from_json_object(factories[key], value, key)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed {what}: {exc}") from exc
+
+
+def is_list_of(value, kind) -> bool:
+    """Whether a JSON array field holds only ``kind`` items; a string never counts."""
+    return isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value)
 
 
 def save_json(doc: dict | list, path: str | Path) -> None:

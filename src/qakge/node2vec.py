@@ -7,10 +7,10 @@ Everything is hand-rolled on numpy so runs are bit-reproducible.
 """
 from __future__ import annotations
 
-import csv
 import logging
-from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+import numbers
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,9 +42,6 @@ class AdjacencyStructure:
             sets[o].add(s)
         neigh = tuple(np.array(sorted(s), dtype=np.int64) for s in sets)
         return cls(names, dict(index), neigh)
-
-    def degree(self, node: int) -> int:
-        return int(self.neighbors[node].shape[0])
 
 
 def transition_probs(
@@ -140,13 +137,6 @@ class NodeEmbeddings:
         if name not in self.index:
             raise InputError(f"unknown node {name!r}")
         return self.vectors[self.index[name]]
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node"] + [f"d{i}" for i in range(self.vectors.shape[1])])
-            for name, row in zip(self.names, self.vectors):
-                writer.writerow([name] + [repr(float(v)) for v in row])
 
 
 def train_skipgram(
@@ -293,21 +283,16 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         if self.p <= 0 or self.q <= 0:
             raise InputError("p and q must be positive")
-        if min(self.walks_per_node, self.walk_length, self.d, self.window,
-               self.negatives, self.epochs) < 1:
+        sizes = (self.walks_per_node, self.walk_length, self.d, self.window,
+                 self.negatives, self.epochs)
+        if not all(isinstance(v, numbers.Integral) for v in sizes):
+            raise InputError("walk and skip-gram sizes must all be integers")
+        if min(sizes) < 1:
             raise InputError("walk and skip-gram sizes must all be >= 1")
         if self.learning_rate <= 0:
             raise InputError("learning_rate must be positive")
         if not 0.0 <= self.threshold <= 1.0:
             raise InputError("threshold must lie in [0, 1]")
-
-
-def baseline_config_from_dict(data: Mapping) -> BaselineConfig:
-    allowed = {f.name for f in fields(BaselineConfig)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise InputError(f"unknown baseline config keys: {sorted(unknown)}")
-    return BaselineConfig(**data)
 
 
 def baseline_plan(

@@ -21,7 +21,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .contexts import (
+    KIND_DIMENSION,
+    KIND_MEASURE,
     REL_CONTRIBUTES,
+    REL_KIND,
     REL_QUALITY_RULE,
     AssessmentPlan,
     ContextDescriptor,
@@ -32,7 +35,6 @@ from .contexts import (
 )
 from .errors import ContextMismatchError, InputError
 from .model import ModelParams, score_all_objects, score_triples
-from .synth import KIND_DIMENSION, KIND_MEASURE, REL_KIND
 from .training import Hyperparams, TrainReport, train
 from .triples import TripleGraph, WeightedTriple
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from dataclasses import dataclass, fields
 from datetime import date, datetime
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .contexts import Attribute, AttributeType, ContextDescriptor, size_bucket_for_rows
+from .contexts import AttributeType, ContextDescriptor, context_from_dict, size_bucket_for_rows
 from .errors import InputError
 
 logger = logging.getLogger(__name__)
@@ -96,115 +95,64 @@ def infer_attribute_type(values: Iterable[str], sample_cap: int = DEFAULT_SAMPLE
     return AttributeType.TEXT
 
 
-@dataclass(frozen=True)
-class ProfileOverlay:
-    """User-supplied context facts that the data itself cannot reveal.
-
-    ``context_id`` is mandatory; every other present field overrides the
-    inferred value.
-    """
-
-    context_id: str
-    data_type: str | None = None
-    data_source: str | None = None
-    size_bucket: str | None = None
-    analysis_scope: str | None = None
-    domain: str | None = None
-    content_type: str | None = None
-    file_format: str | None = None
-    org_standards: tuple[str, ...] | None = None
-    org_policies: tuple[str, ...] | None = None
-    security_level: str | None = None
-    est_resources: str | None = None
-    est_time: str | None = None
-
-    def __post_init__(self):
-        if not self.context_id:
-            raise InputError("overlay requires a non-empty context_id")
-        for name in ("org_standards", "org_policies"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, tuple(value))
-
-
-_OVERLAY_KEYS = {f.name for f in fields(ProfileOverlay)}
-
-
-def overlay_from_dict(doc: dict) -> ProfileOverlay:
-    if not isinstance(doc, dict):
-        raise InputError(f"overlay must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - _OVERLAY_KEYS
-    if unknown:
-        raise InputError(f"unknown overlay fields: {sorted(unknown)}")
-    if "context_id" not in doc:
-        raise InputError("overlay missing required field 'context_id'")
-    return ProfileOverlay(**{k: v for k, v in doc.items() if v is not None})
-
-
 def profile_dataset(
     data_path: str | Path,
-    overlay: ProfileOverlay,
+    overlay: dict,
     *,
     delimiter: str = ",",
     sample_cap: int = DEFAULT_SAMPLE_CAP,
 ) -> ContextDescriptor:
     """Profile a delimited file into a context descriptor.
 
+    ``overlay`` is a context document without ``attributes``: it must name
+    the ``context_id`` and may set any other context field, which then
+    overrides the inferred value (a null field is left as inferred).
+
     Streams the file once: the row count is exact while per-column type
     samples are capped at ``sample_cap`` values, so memory stays bounded.
     """
+    if "attributes" in overlay:
+        raise InputError("overlay cannot set attributes: profiling infers them")
     p = Path(data_path)
     if not p.is_file():
         raise InputError(f"no such file: {p}")
-    with open(p, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f, delimiter=delimiter)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{p}: empty file, expected a header row")
-        names = [h.strip() for h in header]
-        if any(not name for name in names):
-            raise InputError(f"{p}: header contains an empty column name")
-        if len(names) != len(set(names)):
-            raise InputError(f"{p}: duplicate column names in header")
+    try:
+        with open(p, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f, delimiter=delimiter)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{p}: empty file, expected a header row")
+            names = [h.strip() for h in header]
+            if any(not name for name in names):
+                raise InputError(f"{p}: header contains an empty column name")
+            if len(names) != len(set(names)):
+                raise InputError(f"{p}: duplicate column names in header")
 
-        samples: list[list[str]] = [[] for _ in names]
-        n_rows = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise InputError(
-                    f"{p}:{lineno}: row has {len(row)} fields, header has {len(names)}"
-                )
-            n_rows += 1
-            for col, value in enumerate(row):
-                bucket = samples[col]
-                if len(bucket) < sample_cap and value.strip() != "":
-                    bucket.append(value)
+            samples: list[list[str]] = [[] for _ in names]
+            n_rows = 0
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(names):
+                    raise InputError(
+                        f"{p}:{lineno}: row has {len(row)} fields, header has {len(names)}"
+                    )
+                n_rows += 1
+                for col, value in enumerate(row):
+                    bucket = samples[col]
+                    if len(bucket) < sample_cap and value.strip() != "":
+                        bucket.append(value)
+    except UnicodeDecodeError:
+        raise InputError(f"{p}: not UTF-8 text") from None
 
-    attributes = tuple(
-        Attribute(name, infer_attribute_type(samples[i], sample_cap)) for i, name in enumerate(names)
-    )
-    inferred = {
+    doc = {
         "data_type": "structured",
-        "data_source": "",
         "size_bucket": size_bucket_for_rows(n_rows),
-        "domain": "",
         "file_format": p.suffix.lstrip(".").lower(),
+        **{k: v for k, v in overlay.items() if v is not None},
+        "attributes": [
+            {"name": name, "type": infer_attribute_type(samples[i], sample_cap)}
+            for i, name in enumerate(names)
+        ],
     }
-    optional = {}
-    for f_def in fields(ProfileOverlay):
-        if f_def.name == "context_id":
-            continue
-        value = getattr(overlay, f_def.name)
-        if value is not None:
-            if f_def.name in inferred:
-                inferred[f_def.name] = value
-            else:
-                optional[f_def.name] = value
-    return ContextDescriptor(
-        context_id=overlay.context_id,
-        attributes=attributes,
-        **inferred,
-        **optional,
-    )
+    return context_from_dict(doc)

@@ -9,12 +9,16 @@ runs with the same config produce byte-identical CSV output.
 """
 from __future__ import annotations
 
+import numbers
 import random
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 from .contexts import (
+    KIND_DIMENSION,
+    KIND_MEASURE,
     REL_CONTRIBUTES,
+    REL_KIND,
     REL_QUALITY_RULE,
     SIZE_BUCKETS,
     AssessmentPlan,
@@ -24,6 +28,7 @@ from .contexts import (
     DimensionEdge,
     RuleEdge,
     context_to_triples,
+    is_list_of,
     plan_to_triples,
 )
 from .errors import InputError
@@ -61,10 +66,6 @@ QUALITY_DIMENSIONS = (
     "portability",
     "recoverability",
 )
-
-REL_KIND = "isA"
-KIND_MEASURE = "quality_measure"
-KIND_DIMENSION = "quality_dimension"
 
 DEFAULT_DOMAINS = ("iot", "social media", "healthcare", "radiation monitoring", "finance", "news")
 DEFAULT_SOURCES = ("sensor feeds", "machine logs", "tweets", "sms", "database export", "api stream")
@@ -168,45 +169,30 @@ class GeneratorConfig:
     format_pool: tuple[str, ...] = DEFAULT_FORMATS
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.n_contexts, self.seed)):
+            raise InputError("n_contexts and seed must be integers")
         if self.n_contexts < 1:
             raise InputError(f"n_contexts must be >= 1, got {self.n_contexts}")
-        for name, (lo, hi), cap in (
+        for name, pair, cap in (
             ("attrs_per_context", self.attrs_per_context, len(ATTRIBUTE_NAMES)),
             ("rules_per_attribute", self.rules_per_attribute, len(QUALITY_MEASURES)),
             ("dims_per_rule", self.dims_per_rule, len(QUALITY_DIMENSIONS)),
         ):
+            if not (is_list_of(pair, numbers.Integral) and len(pair) == 2):
+                raise InputError(f"{name} must be a [lo, hi] pair of integers, got {pair!r}")
+            lo, hi = pair
             if not (1 <= lo <= hi <= cap):
                 raise InputError(f"{name} range must satisfy 1 <= lo <= hi <= {cap}, got ({lo}, {hi})")
+        if not (is_list_of(self.weight_range, numbers.Real) and len(self.weight_range) == 2):
+            raise InputError(f"weight_range must be a [lo, hi] pair of numbers, got {self.weight_range}")
         lo, hi = self.weight_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise InputError(f"weight_range must satisfy 0 <= lo <= hi <= 1, got ({lo}, {hi})")
         for name in ("domain_pool", "source_pool", "format_pool"):
-            if not getattr(self, name):
-                raise InputError(f"{name} must be non-empty")
+            pool = getattr(self, name)
+            if not (is_list_of(pool, str) and pool):
+                raise InputError(f"{name} must be a non-empty list of strings, got {pool!r}")
 
-
-_GENERATOR_KEYS = {f.name for f in fields(GeneratorConfig)}
-_RANGE_KEYS = ("attrs_per_context", "rules_per_attribute", "dims_per_rule", "weight_range")
-_POOL_KEYS = ("domain_pool", "source_pool", "format_pool")
-
-
-def generator_config_from_dict(doc: dict) -> GeneratorConfig:
-    if not isinstance(doc, dict):
-        raise InputError(f"generator config must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - _GENERATOR_KEYS
-    if unknown:
-        raise InputError(f"unknown generator config fields: {sorted(unknown)}")
-    kwargs = dict(doc)
-    for key in _RANGE_KEYS:
-        if key in kwargs:
-            value = kwargs[key]
-            if not (isinstance(value, (list, tuple)) and len(value) == 2):
-                raise InputError(f"generator config {key!r} must be a [lo, hi] pair")
-            kwargs[key] = tuple(value)
-    for key in _POOL_KEYS:
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return GeneratorConfig(**kwargs)
 
 
 def _random_weight(rng: random.Random, cfg: GeneratorConfig) -> float:

@@ -55,6 +55,8 @@ class Hyperparams:
             raise InputError(
                 "k, eta, batch_size, epochs, reg_p, seed and beta_decay_epochs must be integers"
             )
+        if not isinstance(self.focuse, bool):
+            raise InputError(f"focuse must be true or false, got {self.focuse!r}")
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
         if self.eta < 1:
@@ -76,21 +78,6 @@ class Hyperparams:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-_HP_KEYS = {f.name for f in fields(Hyperparams)}
-
-
-def hyperparams_from_dict(doc: dict) -> Hyperparams:
-    if not isinstance(doc, dict):
-        raise InputError(f"hyperparams must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - _HP_KEYS
-    if unknown:
-        raise InputError(f"unknown hyperparameter fields: {sorted(unknown)}")
-    try:
-        return Hyperparams(**doc)
-    except TypeError as exc:
-        raise InputError(f"malformed hyperparameter value: {exc}") from exc
 
 
 def beta_value(epoch: int, hp: Hyperparams) -> float:

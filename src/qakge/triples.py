@@ -132,9 +132,6 @@ class TripleGraph:
     def __iter__(self) -> Iterator[WeightedTriple]:
         return iter(self.triples)
 
-    def has(self, source: str, relation: str, target: str) -> bool:
-        return (source, relation, target) in self._by_key
-
     def weight_of(self, source: str, relation: str, target: str) -> float:
         key = (source, relation, target)
         if key not in self._by_key:
@@ -180,32 +177,35 @@ def load_triples_csv(path: str | Path, *, percent: bool = False) -> TripleGraph:
     if not p.is_file():
         raise InputError(f"no such file: {p}")
     rows: list[WeightedTriple] = []
-    with open(p, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise CsvFormatError(
-                f"{p}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue  # tolerate stray blank lines
-            if len(row) != 4:
-                raise CsvFormatError(f"{p}:{lineno}: expected 4 columns, got {len(row)}")
-            source, relation, target, raw_w = row
-            if raw_w.strip() == "":
-                weight = 1.0
-            else:
+    try:
+        with open(p, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None or tuple(header) != CSV_HEADER:
+                raise CsvFormatError(
+                    f"{p}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue  # tolerate stray blank lines
+                if len(row) != 4:
+                    raise CsvFormatError(f"{p}:{lineno}: expected 4 columns, got {len(row)}")
+                source, relation, target, raw_w = row
+                if raw_w.strip() == "":
+                    weight = 1.0
+                else:
+                    try:
+                        weight = float(raw_w)
+                    except ValueError:
+                        raise CsvFormatError(f"{p}:{lineno}: weight not a number: {raw_w!r}") from None
+                    if percent:
+                        weight /= 100.0
                 try:
-                    weight = float(raw_w)
-                except ValueError:
-                    raise CsvFormatError(f"{p}:{lineno}: weight not a number: {raw_w!r}") from None
-                if percent:
-                    weight /= 100.0
-            try:
-                rows.append(WeightedTriple(source, relation, target, weight))
-            except InputError as exc:
-                raise CsvFormatError(f"{p}:{lineno}: {exc}") from None
+                    rows.append(WeightedTriple(source, relation, target, weight))
+                except InputError as exc:
+                    raise CsvFormatError(f"{p}:{lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise CsvFormatError(f"{p}: not UTF-8 text") from None
     return TripleGraph.from_triples(rows)
 
 

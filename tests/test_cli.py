@@ -236,6 +236,36 @@ def test_malformed_config_value_exits_one(capsys, world):
         assert "error:" in err
 
 
+@pytest.mark.parametrize("command, kind, doc", [
+    ("synth", "config", {"generator": {"n_contexts": "5"}}),
+    ("synth", "config", {"generator": {"attrs_per_context": [3.5, 4]}}),
+    ("synth", "config", {"generator": {"domain_pool": "iot"}}),
+    ("baseline", "config", {"baseline": {"p": "1"}}),
+    ("baseline", "config", {"baseline": {"epochs": 1.5}}),
+    ("baseline", "config", {"baseline": 5}),
+    ("plan", "config", {"planner": {"tau": "0.5"}}),
+    ("plan", "config", {"planner": {"top_m": 2.5}}),
+    ("plan", "config", {"hyperparams": {"focuse": "false"}}),
+    ("plan", "context", {"domain": 7}),
+    ("plan", "context", {"org_standards": "ISO 8000"}),
+], ids=["n_contexts-string", "attrs-float", "domain_pool-string", "p-string", "epochs-float",
+        "baseline-number", "tau-string", "top_m-float", "focuse-string", "domain-number", "org_standards-string"])
+def test_malformed_document_exits_one(capsys, world, command, kind, doc):
+    tmp_path, graph_path, ctx_path = world
+    if kind == "context":
+        ctx = {**context_to_dict(radiation_input_context()), **doc}
+        ctx_path, doc = write_json(tmp_path / "ctx.json", ctx), {}
+    argv = [command, "--out", str(tmp_path / "out"),
+            "--config", write_json(tmp_path / "cfg.json", doc)]
+    if command != "synth":
+        argv += ["--graph", graph_path, "--context", ctx_path]
+    if command == "plan":
+        argv += ["--epochs", "1"]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "error:" in err
+
+
 def test_malformed_plan_weight_exits_one(capsys, tmp_path):
     ctx = ContextDescriptor(context_id="survey", data_type="structured",
                             attributes=(Attribute("x", "numeric"),))

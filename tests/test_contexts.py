@@ -233,6 +233,13 @@ def test_context_from_dict_rejects_unknown_keys():
         context_from_dict(doc)
 
 
+def test_context_from_dict_never_splits_a_string_into_a_list():
+    doc = context_to_dict(full_context())
+    doc["org_standards"] = "ISO 8000"
+    with pytest.raises(InputError, match="org_standards must be a list of strings"):
+        context_from_dict(doc)
+
+
 def test_plan_json_round_trip(tmp_path):
     plan = AssessmentPlan(
         "c",
@@ -256,3 +263,10 @@ def test_load_json_reports_position(tmp_path):
         load_json(p)
     with pytest.raises(InputError):
         load_json(tmp_path / "absent.json")
+
+
+def test_load_json_rejects_non_utf8(tmp_path):
+    p = tmp_path / "latin.json"
+    p.write_bytes(b'{"domain": "caf\xe9"}')
+    with pytest.raises(InputError, match=r"latin\.json: not UTF-8"):
+        load_json(p)

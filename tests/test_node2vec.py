@@ -3,13 +3,12 @@ import numpy as np
 import pytest
 
 from qakge.contexts import Attribute, ContextDescriptor, context_to_triples, plan_to_triples
-from qakge.contexts import AssessmentPlan, DimensionEdge, RuleEdge
+from qakge.contexts import AssessmentPlan, DimensionEdge, RuleEdge, from_json_object
 from qakge.errors import InputError, NoMatchError, ZeroVectorError
 from qakge.node2vec import (
     AdjacencyStructure,
     BaselineConfig,
     NodeEmbeddings,
-    baseline_config_from_dict,
     baseline_plan,
     embed_graph,
     generate_walks,
@@ -245,7 +244,7 @@ def test_baseline_config_validation():
         BaselineConfig(walk_length=0)
     with pytest.raises(InputError, match="threshold"):
         BaselineConfig(threshold=2.0)
-    cfg = baseline_config_from_dict({"d": 16, "epochs": 2})
+    cfg = from_json_object(BaselineConfig, {"d": 16, "epochs": 2}, "baseline config")
     assert cfg.d == 16 and cfg.epochs == 2
     with pytest.raises(InputError, match="unknown baseline"):
-        baseline_config_from_dict({"walks": 3})
+        from_json_object(BaselineConfig, {"walks": 3}, "baseline config")

@@ -2,12 +2,7 @@ import pytest
 
 from qakge.contexts import AttributeType
 from qakge.errors import InputError
-from qakge.profiling import (
-    ProfileOverlay,
-    infer_attribute_type,
-    overlay_from_dict,
-    profile_dataset,
-)
+from qakge.profiling import infer_attribute_type, profile_dataset
 
 
 def test_numeric_inference():
@@ -35,15 +30,16 @@ def test_empty_or_text_columns():
     assert infer_attribute_type(["apple", "pear"]) is AttributeType.TEXT
 
 
-def test_overlay_parsing():
-    ov = overlay_from_dict({"context_id": "c", "domain": "iot"})
-    assert ov.domain == "iot" and ov.data_source is None
+def test_overlay_parsing(tmp_path):
+    p = _write(tmp_path, "a\n1\n")
+    ctx = profile_dataset(p, {"context_id": "c", "domain": "iot"})
+    assert ctx.domain == "iot" and ctx.data_source == ""
     with pytest.raises(InputError, match="context_id"):
-        overlay_from_dict({"domain": "iot"})
+        profile_dataset(p, {"domain": "iot"})
     with pytest.raises(InputError, match="mystery"):
-        overlay_from_dict({"context_id": "c", "mystery": 1})
+        profile_dataset(p, {"context_id": "c", "mystery": 1})
     with pytest.raises(InputError):
-        ProfileOverlay(context_id="")
+        profile_dataset(p, {"context_id": ""})
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -54,7 +50,7 @@ def _write(tmp_path, text, name="data.csv"):
 
 def test_profile_basic(tmp_path):
     p = _write(tmp_path, "id,dose,when\n1,3.2,2024-01-02\n2,4.5,2024-01-03\n3,,2024/01/04\n")
-    ctx = profile_dataset(p, ProfileOverlay(context_id="survey"))
+    ctx = profile_dataset(p, {"context_id": "survey"})
     assert ctx.context_id == "survey"
     assert ctx.data_type == "structured"
     assert ctx.size_bucket == "tiny"  # 3 rows
@@ -71,8 +67,8 @@ def test_profile_basic(tmp_path):
 
 def test_profile_overlay_overrides(tmp_path):
     p = _write(tmp_path, "a,b\n1,x\n")
-    ov = ProfileOverlay(context_id="c", domain="healthcare", size_bucket="large",
-                        security_level="confidential")
+    ov = {"context_id": "c", "domain": "healthcare", "size_bucket": "large",
+          "security_level": "confidential"}
     ctx = profile_dataset(p, ov)
     assert ctx.domain == "healthcare"
     assert ctx.size_bucket == "large"  # overlay beats the row count
@@ -81,32 +77,39 @@ def test_profile_overlay_overrides(tmp_path):
 
 def test_profile_delimiter_and_suffix(tmp_path):
     p = _write(tmp_path, "a\tb\n1\t2\n", name="dump.tsv")
-    ctx = profile_dataset(p, ProfileOverlay(context_id="c"), delimiter="\t")
+    ctx = profile_dataset(p, {"context_id": "c"}, delimiter="\t")
     assert [a.name for a in ctx.attributes] == ["a", "b"]
     assert ctx.file_format == "tsv"
 
 
 def test_profile_errors(tmp_path):
     with pytest.raises(InputError):
-        profile_dataset(tmp_path / "nope.csv", ProfileOverlay(context_id="c"))
+        profile_dataset(tmp_path / "nope.csv", {"context_id": "c"})
     ragged = _write(tmp_path, "a,b\n1,2\n3\n", name="ragged.csv")
     with pytest.raises(InputError, match="ragged"):
-        profile_dataset(ragged, ProfileOverlay(context_id="c"))
+        profile_dataset(ragged, {"context_id": "c"})
     dup = _write(tmp_path, "a,a\n1,2\n", name="dup.csv")
     with pytest.raises(InputError, match="duplicate"):
-        profile_dataset(dup, ProfileOverlay(context_id="c"))
+        profile_dataset(dup, {"context_id": "c"})
     empty_name = _write(tmp_path, "a,\n1,2\n", name="anon.csv")
     with pytest.raises(InputError, match="empty"):
-        profile_dataset(empty_name, ProfileOverlay(context_id="c"))
+        profile_dataset(empty_name, {"context_id": "c"})
+
+
+def test_profile_rejects_non_utf8(tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"site\ncaf\xe9\n")
+    with pytest.raises(InputError, match=r"latin\.csv: not UTF-8"):
+        profile_dataset(p, {"context_id": "c"})
 
 
 def test_profile_sample_cap_bounds_inference(tmp_path):
     # first 10 values numeric, a text value arrives after the cap
     rows = "\n".join(["x"] if False else [str(i) for i in range(10)] + ["not_a_number"])
     p = _write(tmp_path, "col\n" + rows + "\n")
-    capped = profile_dataset(p, ProfileOverlay(context_id="c"), sample_cap=10)
+    capped = profile_dataset(p, {"context_id": "c"}, sample_cap=10)
     assert capped.attributes[0].type is AttributeType.NUMERIC
-    uncapped = profile_dataset(p, ProfileOverlay(context_id="c"))
+    uncapped = profile_dataset(p, {"context_id": "c"})
     assert uncapped.attributes[0].type is AttributeType.TEXT  # 10/11 < 95%
     # row count stays exact either way
     assert capped.size_bucket == "tiny"

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from qakge.contexts import extract_plan, triples_to_context
+from qakge.contexts import extract_plan, from_json_object, triples_to_context
 from qakge.errors import InputError
 from qakge.synth import (
     KIND_DIMENSION,
@@ -13,7 +13,6 @@ from qakge.synth import (
     GeneratorConfig,
     build_radiation_scenario,
     generate_synthetic_graph,
-    generator_config_from_dict,
     radiation_input_context,
     radiation_stored_context,
     radiation_stored_plan,
@@ -38,8 +37,8 @@ def test_config_validation():
     with pytest.raises(InputError):
         GeneratorConfig(weight_range=(0.0, 1.5))
     with pytest.raises(InputError, match="bogus"):
-        generator_config_from_dict({"bogus": 1})
-    cfg = generator_config_from_dict({"n_contexts": 4, "seed": 2})
+        from_json_object(GeneratorConfig, {"bogus": 1}, "generator config")
+    cfg = from_json_object(GeneratorConfig, {"n_contexts": 4, "seed": 2}, "generator config")
     assert cfg.n_contexts == 4 and cfg.seed == 2
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from qakge.errors import InputError, TrainingDiverged
 from qakge.model import init_model
-from qakge.training import Hyperparams, beta_value, hyperparams_from_dict, train
+from qakge.contexts import from_json_object
+from qakge.training import Hyperparams, beta_value, train
 from qakge.triples import Vocabulary
 
 from .helpers import toy_graph
@@ -168,8 +169,8 @@ def test_hyperparams_validation():
 
 def test_hyperparams_dict_round_trip():
     hp = Hyperparams(k=12, eta=3, focuse=False, beta_decay_epochs=7)
-    assert hyperparams_from_dict(hp.to_dict()) == hp
+    assert from_json_object(Hyperparams, hp.to_dict(), "hyperparameter") == hp
     with pytest.raises(InputError, match="unknown"):
-        hyperparams_from_dict({"k": 4, "momentum": 0.9})
+        from_json_object(Hyperparams, {"k": 4, "momentum": 0.9}, "hyperparameter")
     with pytest.raises(InputError, match="JSON object"):
-        hyperparams_from_dict([1, 2])
+        from_json_object(Hyperparams, [1, 2], "hyperparameter")

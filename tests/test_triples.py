@@ -123,6 +123,13 @@ def _dense_graph(n_triples: int, n_entities: int = 80) -> TripleGraph:
     return TripleGraph.from_triples(triples)
 
 
+def test_csv_rejects_non_utf8(tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"source,relation,target,weight\ncaf\xe9,r,b,1\n")
+    with pytest.raises(CsvFormatError, match=r"latin\.csv: not UTF-8"):
+        load_triples_csv(p)
+
+
 def test_split_floor_arithmetic_on_large_graph():
     g = _dense_graph(5877)
     train, test = split_train_test(g, 0.2, seed=0)
