@@ -33,7 +33,7 @@ from .errors import (
     VocabMismatchError,
     ZeroVectorError,
 )
-from .evaluation import EvalMetrics, aggregate_ranks, evaluate, rank_triple, validation_loss
+from .evaluation import EvalMetrics, aggregate_ranks, evaluate, validation_loss
 from .gridsearch import grid_search
 from .model import ModelParams, complex_score, init_model, score_triples
 from .node2vec import (
@@ -46,7 +46,6 @@ from .node2vec import (
     train_skipgram,
 )
 from .planner import (
-    CalibrationStats,
     PlanComparison,
     calibrate_weight,
     compare_plans,
@@ -73,7 +72,6 @@ __all__ = [
     "Attribute",
     "AttributeType",
     "BaselineConfig",
-    "CalibrationStats",
     "CheckpointError",
     "ContextDescriptor",
     "ContextMismatchError",
@@ -123,7 +121,6 @@ __all__ = [
     "plan_from_dict",
     "plan_to_dict",
     "profile_dataset",
-    "rank_triple",
     "save_checkpoint",
     "save_triples_csv",
     "score_triples",

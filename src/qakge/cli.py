@@ -54,6 +54,8 @@ class PlannerConfig:
     top_m: int = 3
 
     def __post_init__(self):
+        if not isinstance(self.tau, numbers.Real):
+            raise InputError(f"planner tau must be a number, got {self.tau!r}")
         if not 0.0 <= self.tau <= 1.0:
             raise InputError(f"planner tau must lie in [0, 1], got {self.tau}")
         if not isinstance(self.top_m, numbers.Integral):
@@ -265,7 +267,7 @@ def cmd_gridsearch(args) -> int:
     best, leaderboard = grid_search(train_graph, valid_graph, grid, args.budget_epochs, base)
     save_json({"best": best.to_dict(), "leaderboard": leaderboard}, args.leaderboard_out)
     top = leaderboard[0]
-    print(f"best of {len(leaderboard)}: {top['params']} (val_loss {top['val_loss']:.6f})")
+    print(f"best of {len(leaderboard)}: {top['params']} (val_mrr {top['val_mrr']:.6f})")
     return 0
 
 

@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .errors import InputError, MalformedContextError
 from .triples import TripleGraph, WeightedTriple

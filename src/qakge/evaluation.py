@@ -106,24 +106,6 @@ def _rank_side(
     return _rank_from_scores(scores, true_idx, excluded)
 
 
-def rank_triple(
-    model: ModelParams,
-    triple: tuple[str, str, str],
-    side: str,
-    known_positives: Iterable[tuple[str, str, str]],
-    mode: str = "filtered",
-) -> int:
-    """Rank of the true entity among all replacements of one side."""
-    if side not in ("subject", "object"):
-        raise InputError(f"side must be 'subject' or 'object', got {side!r}")
-    if mode not in PROTOCOLS:
-        raise InputError(f"mode must be one of {PROTOCOLS}, got {mode!r}")
-    s, p, o = _resolve(model, triple)
-    filtered = mode == "filtered"
-    by_sp, by_po = _known_sets(known_positives, model) if filtered else ({}, {})
-    return _rank_side(model, s, p, o, side, by_sp, by_po, filtered)
-
-
 @dataclass(frozen=True, slots=True)
 class RankRecord:
     source: str
@@ -191,7 +173,6 @@ def evaluate(
     protocol: str = "filtered",
     *,
     hp: Hyperparams | None = None,
-    loss_seed: int = 0,
 ) -> EvalMetrics:
     """Rank every test triple on both sides and aggregate.
 
@@ -217,7 +198,7 @@ def evaluate(
 
     agg = aggregate_ranks([r.rank for r in records], hits_at)
     hp = hp if hp is not None else Hyperparams()
-    loss = validation_loss(model, test_graph, hp, seed=loss_seed)
+    loss = validation_loss(model, test_graph, hp)
 
     by_relation: dict[str, list[float]] = {}
     for r in records:

@@ -1,4 +1,4 @@
-"""Exhaustive hyperparameter sweep scored by held-out validation loss."""
+"""Exhaustive hyperparameter sweep scored by filtered held-out MRR."""
 from __future__ import annotations
 
 import itertools
@@ -8,7 +8,7 @@ from dataclasses import replace
 from typing import Any, Mapping, Sequence
 
 from .errors import InputError
-from .evaluation import validation_loss
+from .evaluation import evaluate
 from .training import Hyperparams, train
 from .triples import TripleGraph
 
@@ -22,13 +22,17 @@ def grid_search(
     budget_epochs: int,
     base: Hyperparams | None = None,
 ) -> tuple[Hyperparams, list[dict]]:
-    """Train one model per grid combination, pick the lowest validation loss.
+    """Train one model per grid combination, pick the highest validation MRR.
 
     ``grid`` maps hyperparameter field names to candidate value lists;
     combinations are enumerated in dict insertion order (last key varies
     fastest). Every combination trains for exactly ``budget_epochs`` so
-    scores are comparable. Returns the winning full config plus a
-    leaderboard sorted by validation loss (ties keep enumeration order).
+    scores are comparable. Each model is scored by filtered MRR on
+    ``valid_graph``, with train and validation triples as the known
+    positives; the validation loss is not a fair score, because it grows
+    with the ``margin`` and ``eta`` being searched. Returns the winning full
+    config plus a leaderboard sorted by MRR, highest first (ties keep
+    enumeration order).
     """
     if not grid:
         raise InputError("empty hyperparameter grid")
@@ -40,6 +44,7 @@ def grid_search(
     if len(valid_graph) == 0:
         raise InputError("empty validation graph")
     base = base if base is not None else Hyperparams()
+    known = train_graph.keys() | valid_graph.keys()
 
     names = list(grid.keys())
     combos = list(itertools.product(*(grid[n] for n in names)))
@@ -52,14 +57,13 @@ def grid_search(
             raise InputError(f"unknown hyperparameter in grid: {exc}") from None
         t0 = time.perf_counter()
         model, _ = train(train_graph, hp)
-        # beta=0 so early-annealing configs are judged by their end-state loss
-        val = validation_loss(model, valid_graph, hp, beta=0.0, seed=base.seed)
+        mrr = evaluate(model, valid_graph, known, hp=hp).mrr
         elapsed = time.perf_counter() - t0
-        logger.info("grid %d/%d: %s -> val_loss %.6f (%.1fs)",
-                    combo_no + 1, len(combos), combo, val, elapsed)
-        rows.append({"params": combo, "val_loss": val, "seconds": elapsed})
+        logger.info("grid %d/%d: %s -> val_mrr %.6f (%.1fs)",
+                    combo_no + 1, len(combos), combo, mrr, elapsed)
+        rows.append({"params": combo, "val_mrr": mrr, "seconds": elapsed})
 
-    order = sorted(range(len(rows)), key=lambda i: rows[i]["val_loss"])
+    order = sorted(range(len(rows)), key=lambda i: -rows[i]["val_mrr"])
     leaderboard = [rows[i] for i in order]
     best = replace(base, **leaderboard[0]["params"], epochs=budget_epochs)
     return best, leaderboard

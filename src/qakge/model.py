@@ -41,11 +41,6 @@ class ModelParams:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.ent_re, self.ent_im, self.rel_re, self.rel_im)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.ent_re.copy(), self.ent_im.copy(), self.rel_re.copy(), self.rel_im.copy(), self.vocab
-        )
-
     def __post_init__(self):
         n, m = self.vocab.n_entities, self.vocab.n_relations
         k = self.ent_re.shape[1] if self.ent_re.ndim == 2 else -1

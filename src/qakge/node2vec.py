@@ -281,12 +281,16 @@ class BaselineConfig:
     threshold: float = 0.7
 
     def __post_init__(self) -> None:
+        for name in ("p", "q", "learning_rate", "threshold"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InputError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.p <= 0 or self.q <= 0:
             raise InputError("p and q must be positive")
         sizes = (self.walks_per_node, self.walk_length, self.d, self.window,
                  self.negatives, self.epochs)
         if not all(isinstance(v, numbers.Integral) for v in sizes):
-            raise InputError("walk and skip-gram sizes must all be integers")
+            raise InputError("walks_per_node, walk_length, d, window, negatives and epochs "
+                             "must all be integers")
         if min(sizes) < 1:
             raise InputError("walk and skip-gram sizes must all be >= 1")
         if self.learning_rate <= 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .contexts import (
 from .errors import ContextMismatchError, InputError
 from .model import ModelParams, score_all_objects, score_triples
 from .training import Hyperparams, TrainReport, train
-from .triples import TripleGraph, WeightedTriple
+from .triples import TripleGraph
 
 logger = logging.getLogger(__name__)
 
@@ -50,20 +50,8 @@ class PredictedEdge:
     calibrated_weight: float
 
 
-@dataclass(frozen=True, slots=True)
-class CalibrationStats:
-    """Per-relation raw score range observed on the training edges."""
-
-    by_relation: dict[str, tuple[float, float]]
-
-    def range_of(self, relation: str) -> tuple[float, float]:
-        if relation not in self.by_relation:
-            raise InputError(f"no calibration fitted for relation {relation!r}")
-        return self.by_relation[relation]
-
-
-def fit_calibration(model: ModelParams, graph: TripleGraph) -> CalibrationStats:
-    """Score every existing edge and record the min/max per relation."""
+def fit_calibration(model: ModelParams, graph: TripleGraph) -> dict[str, tuple[float, float]]:
+    """Score every existing edge and map each relation to its (min, max) raw score."""
     idx, _ = graph.index_arrays(model.vocab)
     raw = score_triples(model, idx) if idx.shape[0] else np.empty(0)
     by_relation: dict[str, tuple[float, float]] = {}
@@ -74,12 +62,14 @@ def fit_calibration(model: ModelParams, graph: TripleGraph) -> CalibrationStats:
             continue
         scores = raw[mask]
         by_relation[rel_name] = (float(scores.min()), float(scores.max()))
-    return CalibrationStats(by_relation)
+    return by_relation
 
 
-def calibrate_weight(raw: float, relation: str, stats: CalibrationStats) -> float:
+def calibrate_weight(raw: float, relation: str, stats: dict[str, tuple[float, float]]) -> float:
     """Min-max map a raw score into [0, 1], clamped at the boundaries."""
-    lo, hi = stats.range_of(relation)
+    if relation not in stats:
+        raise InputError(f"no calibration fitted for relation {relation!r}")
+    lo, hi = stats[relation]
     if hi == lo:
         return 0.5  # degenerate range carries no ordering information
     return float(min(1.0, max(0.0, (raw - lo) / (hi - lo))))
@@ -90,7 +80,7 @@ def _predict_edges(
     source: str,
     relation: str,
     pool: Sequence[str],
-    stats: CalibrationStats,
+    stats: dict[str, tuple[float, float]],
     tau: float,
     top_m: int,
 ) -> list[PredictedEdge]:
@@ -128,7 +118,7 @@ def predict_rules_for_attribute(
     model: ModelParams,
     attribute_node: str,
     pool: Sequence[str],
-    stats: CalibrationStats,
+    stats: dict[str, tuple[float, float]],
     *,
     tau: float = 0.5,
     top_m: int = 3,
@@ -140,7 +130,7 @@ def predict_dimensions_for_rule(
     model: ModelParams,
     rule_node: str,
     pool: Sequence[str],
-    stats: CalibrationStats,
+    stats: dict[str, tuple[float, float]],
     *,
     tau: float = 0.5,
     top_m: int = 3,
@@ -179,12 +169,8 @@ def dimension_pool(graph: TripleGraph) -> tuple[str, ...]:
 class PlanProvenance:
     """Everything needed to audit one generated plan."""
 
-    context_id: str
-    hyperparams: Hyperparams
     train_report: TrainReport
     raw_scores: dict[tuple[str, str], float]
-    tau: float
-    top_m: int
     seconds: float
     model: ModelParams = field(repr=False)
 
@@ -240,24 +226,16 @@ def generate_plan(
                 seen_rules.append(e.target)
 
     dim_edges: list[DimensionEdge] = []
-    dim_seen: set[tuple[str, str]] = set()
     for rule in seen_rules:
         for e in predict_dimensions_for_rule(model, rule, dims_avail, stats,
                                              tau=tau, top_m=top_m):
-            if (e.source, e.target) in dim_seen:
-                continue
-            dim_seen.add((e.source, e.target))
             dim_edges.append(DimensionEdge(e.source, e.target, e.calibrated_weight))
             raw_scores[(e.source, e.target)] = e.raw_score
 
     plan = AssessmentPlan(new_context.context_id, tuple(rule_edges), tuple(dim_edges))
     prov = PlanProvenance(
-        context_id=new_context.context_id,
-        hyperparams=hp,
         train_report=report,
         raw_scores=raw_scores,
-        tau=tau,
-        top_m=top_m,
         seconds=time.perf_counter() - t0,
         model=model,
     )

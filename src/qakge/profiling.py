@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .contexts import AttributeType, ContextDescriptor, context_from_dict, size_bucket_for_rows
 from .errors import InputError

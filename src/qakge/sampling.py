@@ -6,17 +6,10 @@ identical to its own positive is rejected and redrawn.
 """
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .errors import InputError
 from .triples import Vocabulary
-
-logger = logging.getLogger(__name__)
-
-# redraw attempts before a self-identical corruption is kept
-MAX_RESAMPLE_ATTEMPTS = 100
 
 
 def sample_corruptions(
@@ -47,20 +40,14 @@ def sample_corruptions(
     rows = np.arange(total)
     bad = repl == base[rows, col]
 
-    attempts = 0
-    while bad.any() and attempts < MAX_RESAMPLE_ATTEMPTS:
+    # with n >= 2 each redraw clears a row with probability >= 1/2, so the
+    # loop ends after a few passes
+    while bad.any():
         hit = np.flatnonzero(bad)
         side[hit] = rng.integers(0, 2, size=hit.size)
         repl[hit] = rng.integers(0, n, size=hit.size)
         col[hit] = side[hit] * 2
         bad[hit] = repl[hit] == base[hit, col[hit]]
-        attempts += 1
-    if bad.any():
-        logger.warning(
-            "kept %d corruption(s) identical to their positives after %d redraw attempts",
-            int(bad.sum()),
-            MAX_RESAMPLE_ATTEMPTS,
-        )
 
     out = base.copy()
     out[rows, col] = repl

@@ -55,6 +55,9 @@ class Hyperparams:
             raise InputError(
                 "k, eta, batch_size, epochs, reg_p, seed and beta_decay_epochs must be integers"
             )
+        for name in ("learning_rate", "margin", "reg_lambda"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InputError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not isinstance(self.focuse, bool):
             raise InputError(f"focuse must be true or false, got {self.focuse!r}")
         if self.k < 1:

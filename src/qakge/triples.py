@@ -132,12 +132,6 @@ class TripleGraph:
     def __iter__(self) -> Iterator[WeightedTriple]:
         return iter(self.triples)
 
-    def weight_of(self, source: str, relation: str, target: str) -> float:
-        key = (source, relation, target)
-        if key not in self._by_key:
-            raise InputError(f"no such triple: {key}")
-        return self._by_key[key].weight
-
     def keys(self) -> frozenset[tuple[str, str, str]]:
         return frozenset(self._by_key)
 

@@ -4,11 +4,9 @@ Every test prints a PASS/FAIL line naming the measured value, the
 tolerance it was held to, and the wall-clock budget. Run with ``-s`` to
 see the lines as they happen; on failure the assertion repeats them.
 """
-import json
 import time
 
 import numpy as np
-import pytest
 
 from qakge import (
     BaselineConfig,

@@ -163,6 +163,7 @@ def test_plan_command_writes_loadable_plan(capsys, world):
     assert {e.attribute for e in plan.rule_edges} == attr_nodes
     assert doc["model_meta"]["method"] == "link_prediction"
     assert doc["model_meta"]["hyperparams"]["epochs"] == 2
+    assert doc["model_meta"]["tau"] == 0.5 and doc["model_meta"]["top_m"] == 3
 
 
 def test_baseline_command_and_no_match_exit(capsys, world):
@@ -236,21 +237,24 @@ def test_malformed_config_value_exits_one(capsys, world):
         assert "error:" in err
 
 
-@pytest.mark.parametrize("command, kind, doc", [
-    ("synth", "config", {"generator": {"n_contexts": "5"}}),
-    ("synth", "config", {"generator": {"attrs_per_context": [3.5, 4]}}),
-    ("synth", "config", {"generator": {"domain_pool": "iot"}}),
-    ("baseline", "config", {"baseline": {"p": "1"}}),
-    ("baseline", "config", {"baseline": {"epochs": 1.5}}),
-    ("baseline", "config", {"baseline": 5}),
-    ("plan", "config", {"planner": {"tau": "0.5"}}),
-    ("plan", "config", {"planner": {"top_m": 2.5}}),
-    ("plan", "config", {"hyperparams": {"focuse": "false"}}),
-    ("plan", "context", {"domain": 7}),
-    ("plan", "context", {"org_standards": "ISO 8000"}),
-], ids=["n_contexts-string", "attrs-float", "domain_pool-string", "p-string", "epochs-float",
-        "baseline-number", "tau-string", "top_m-float", "focuse-string", "domain-number", "org_standards-string"])
-def test_malformed_document_exits_one(capsys, world, command, kind, doc):
+@pytest.mark.parametrize("command, kind, doc, named", [
+    ("synth", "config", {"generator": {"n_contexts": "5"}}, "n_contexts"),
+    ("synth", "config", {"generator": {"attrs_per_context": [3.5, 4]}}, "attrs_per_context"),
+    ("synth", "config", {"generator": {"domain_pool": "iot"}}, "domain_pool"),
+    ("baseline", "config", {"baseline": {"p": "1"}}, "p must be a number"),
+    ("baseline", "config", {"baseline": {"threshold": "0.5"}}, "threshold must be a number"),
+    ("baseline", "config", {"baseline": {"epochs": 1.5}}, "epochs"),
+    ("baseline", "config", {"baseline": 5}, "baseline must be a JSON object"),
+    ("plan", "config", {"planner": {"tau": "0.5"}}, "tau must be a number"),
+    ("plan", "config", {"planner": {"top_m": 2.5}}, "top_m"),
+    ("plan", "config", {"hyperparams": {"focuse": "false"}}, "focuse"),
+    ("plan", "config", {"hyperparams": {"margin": "1"}}, "margin must be a number"),
+    ("plan", "context", {"domain": 7}, "domain"),
+    ("plan", "context", {"org_standards": "ISO 8000"}, "org_standards"),
+], ids=["n_contexts-string", "attrs-float", "domain_pool-string", "p-string", "threshold-string",
+        "epochs-float", "baseline-number", "tau-string", "top_m-float", "focuse-string",
+        "margin-string", "domain-number", "org_standards-string"])
+def test_malformed_document_exits_one(capsys, world, command, kind, doc, named):
     tmp_path, graph_path, ctx_path = world
     if kind == "context":
         ctx = {**context_to_dict(radiation_input_context()), **doc}
@@ -264,6 +268,7 @@ def test_malformed_document_exits_one(capsys, world, command, kind, doc):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "error:" in err
+    assert named in err
 
 
 def test_malformed_plan_weight_exits_one(capsys, tmp_path):
@@ -290,8 +295,8 @@ def test_gridsearch_command_writes_sorted_leaderboard(capsys, world):
     assert code == 0
     assert "best of 2" in out
     doc = json.loads(board_path.read_text())
-    losses = [row["val_loss"] for row in doc["leaderboard"]]
-    assert losses == sorted(losses)
+    mrrs = [row["val_mrr"] for row in doc["leaderboard"]]
+    assert mrrs == sorted(mrrs, reverse=True)
     assert doc["best"]["epochs"] == 1
     assert doc["best"]["margin"] in (0.2, 0.5)
 

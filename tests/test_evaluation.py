@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from qakge.errors import InputError
-from qakge.evaluation import aggregate_ranks, evaluate, rank_triple, validation_loss
+from qakge.evaluation import aggregate_ranks, evaluate, validation_loss
 from qakge.model import ModelParams, init_model
 from qakge.training import Hyperparams
 from qakge.triples import TripleGraph, Vocabulary, WeightedTriple
@@ -19,37 +19,41 @@ def crafted_model(ent_values: list[float]) -> ModelParams:
     return ModelParams(col, np.zeros_like(col), np.ones((1, 1)), np.zeros((1, 1)), vocab)
 
 
+def object_rank(model: ModelParams, triple, known=(), protocol: str = "raw") -> int:
+    """Object-side rank of one triple: ``evaluate`` over a one-triple test graph."""
+    test = TripleGraph.from_triples([WeightedTriple(*triple, 1.0)])
+    return evaluate(model, test, known, protocol=protocol).ranks[0].rank
+
+
 def test_raw_rank_hand_worked():
     model = crafted_model([3.0, 2.0, 2.0, 1.0])  # a,b,c,d
     # object side of (a, r, d): candidate scores 9, 6, 6, 3; true is last
-    assert rank_triple(model, ("a", "r", "d"), "object", [], mode="raw") == 4
+    assert object_rank(model, ("a", "r", "d")) == 4
     # (a, r, b): true 6, one above, one tied -> 1 + 1 + round_half_up(1/2) = 3
-    assert rank_triple(model, ("a", "r", "b"), "object", [], mode="raw") == 3
+    assert object_rank(model, ("a", "r", "b")) == 3
 
 
 def test_all_tied_scores_take_middle_rank():
     model = crafted_model([1.0, 1.0, 1.0, 1.0])
     # 4-way tie: expected rank (4+1)/2 = 2.5, half-up to 3
-    assert rank_triple(model, ("a", "r", "b"), "object", [], mode="raw") == 3
+    assert object_rank(model, ("a", "r", "b")) == 3
 
 
 def test_filtering_removes_known_positives_but_never_the_truth():
     model = crafted_model([3.0, 2.0, 2.0, 1.0])
     known = [("a", "r", "a"), ("a", "r", "c"), ("a", "r", "d")]
     # without filtering rank is 4; dropping a and c leaves only b above
-    assert rank_triple(model, ("a", "r", "d"), "object", known, mode="filtered") == 2
+    assert object_rank(model, ("a", "r", "d"), known, protocol="filtered") == 2
     # the test triple is itself a known positive and must stay in the pool
-    assert rank_triple(model, ("a", "r", "d"), "object", [("a", "r", "d")], mode="filtered") == 4
+    assert object_rank(model, ("a", "r", "d"), [("a", "r", "d")], protocol="filtered") == 4
 
 
 def test_rank_rejects_bad_arguments():
     model = crafted_model([1.0, 2.0])
-    with pytest.raises(InputError, match="side"):
-        rank_triple(model, ("a", "r", "b"), "middle", [])
-    with pytest.raises(InputError, match="mode"):
-        rank_triple(model, ("a", "r", "b"), "object", [], mode="open")
+    with pytest.raises(InputError, match="protocol"):
+        object_rank(model, ("a", "r", "b"), protocol="open")
     with pytest.raises(InputError, match="not in model vocabulary"):
-        rank_triple(model, ("a", "r", "zz"), "object", [])
+        object_rank(model, ("a", "r", "zz"))
 
 
 def test_matches_exhaustive_oracle_both_sides_both_modes():
@@ -57,15 +61,14 @@ def test_matches_exhaustive_oracle_both_sides_both_modes():
     model = init_model(graph.vocab, k=4, seed=1)
     e_idx = graph.vocab.entity_index
     r_idx = graph.vocab.relation_index
-    known_names = graph.keys()
-    known_idx = {(e_idx[s], r_idx[p], e_idx[o]) for s, p, o in known_names}
-    for t in graph.triples:
-        idx_triple = (e_idx[t.source], r_idx[t.relation], e_idx[t.target])
-        for side in ("object", "subject"):
-            for mode in ("raw", "filtered"):
-                got = rank_triple(model, t.key, side, known_names, mode=mode)
-                want = oracle_rank(model, idx_triple, side, known_idx, mode)
-                assert got == want, (t.key, side, mode)
+    known_idx = {(e_idx[s], r_idx[p], e_idx[o]) for s, p, o in graph.keys()}
+    for mode in ("raw", "filtered"):
+        records = evaluate(model, graph, graph, protocol=mode).ranks
+        assert len(records) == 2 * len(graph)
+        for r in records:
+            idx_triple = (e_idx[r.source], r_idx[r.relation], e_idx[r.target])
+            want = oracle_rank(model, idx_triple, r.side, known_idx, mode)
+            assert r.rank == want, (r, mode)
 
 
 def test_evaluate_records_match_oracle_in_order():

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from qakge.model import init_model
 from qakge.objective import Gradients, TrainingBatch

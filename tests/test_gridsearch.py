@@ -1,9 +1,12 @@
 """Grid sweep: enumeration order, scoring, leaderboard shape."""
+from dataclasses import replace
+
 import pytest
 
 from qakge.errors import InputError
+from qakge.evaluation import evaluate
 from qakge.gridsearch import grid_search
-from qakge.training import Hyperparams
+from qakge.training import Hyperparams, train
 
 from .helpers import toy_graph
 
@@ -22,11 +25,11 @@ def test_grid_search_ranks_all_combinations():
     grid = {"k": [2, 4], "margin": [0.2, 0.5, 1.0]}
     best, board = grid_search(train_g, valid_g, grid, budget_epochs=2, base=BASE)
     assert len(board) == 6
-    losses = [row["val_loss"] for row in board]
-    assert losses == sorted(losses)
+    mrrs = [row["val_mrr"] for row in board]
+    assert mrrs == sorted(mrrs, reverse=True)
     assert board[0]["params"] == {"k": best.k, "margin": best.margin}
     assert best.epochs == 2
-    assert all(set(row) == {"params", "val_loss", "seconds"} for row in board)
+    assert all(set(row) == {"params", "val_mrr", "seconds"} for row in board)
     assert all(row["seconds"] > 0 for row in board)
     # untouched fields come from the base config
     assert best.eta == BASE.eta and best.seed == BASE.seed
@@ -38,7 +41,29 @@ def test_grid_search_is_reproducible():
     best_a, board_a = grid_search(train_g, valid_g, grid, budget_epochs=2, base=BASE)
     best_b, board_b = grid_search(train_g, valid_g, grid, budget_epochs=2, base=BASE)
     assert best_a == best_b
-    assert [r["val_loss"] for r in board_a] == [r["val_loss"] for r in board_b]
+    assert [r["val_mrr"] for r in board_a] == [r["val_mrr"] for r in board_b]
+
+
+def test_grid_search_scores_filtered_validation_mrr():
+    train_g, valid_g = split_toy()
+    grid = {"margin": [0.1, 2.0], "eta": [1, 5]}
+    best, board = grid_search(train_g, valid_g, grid, budget_epochs=2, base=BASE)
+    known = train_g.keys() | valid_g.keys()
+    for row in board:
+        hp = replace(BASE, **row["params"], epochs=2)
+        model, _ = train(train_g, hp)
+        assert row["val_mrr"] == evaluate(model, valid_g, known, hp=hp).mrr
+    assert board[0]["params"] == {"margin": best.margin, "eta": best.eta}
+
+
+def test_grid_search_ties_keep_enumeration_order():
+    # with focuse off beta is pinned at 1, so the decay span cannot change the model
+    train_g, valid_g = split_toy()
+    grid = {"beta_decay_epochs": [3, 1, 2]}
+    _, board = grid_search(train_g, valid_g, grid, budget_epochs=2,
+                           base=replace(BASE, focuse=False))
+    assert len({row["val_mrr"] for row in board}) == 1
+    assert [row["params"]["beta_decay_epochs"] for row in board] == [3, 1, 2]
 
 
 def test_grid_search_validation_errors():
@@ -51,6 +76,8 @@ def test_grid_search_validation_errors():
         grid_search(train_g, valid_g, {"k": [2]}, budget_epochs=0)
     with pytest.raises(InputError, match="unknown hyperparameter"):
         grid_search(train_g, valid_g, {"depth": [2]}, budget_epochs=1, base=BASE)
+    with pytest.raises(InputError, match="learning_rate must be a number, got 'x'"):
+        grid_search(train_g, valid_g, {"learning_rate": ["x"]}, budget_epochs=1, base=BASE)
     from qakge.triples import TripleGraph
 
     with pytest.raises(InputError, match="empty validation graph"):

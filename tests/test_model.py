@@ -10,7 +10,6 @@ from qakge.model import (
     score_all_subjects,
     score_triples,
 )
-from qakge.triples import Vocabulary
 
 from .helpers import random_model, score_py, small_vocab
 

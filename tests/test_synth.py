@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 from qakge.contexts import extract_plan, from_json_object, triples_to_context

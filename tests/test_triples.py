@@ -56,7 +56,7 @@ def test_graph_dedup_keeps_first_position_last_weight():
     assert len(g) == 2
     assert g.triples[0].key == ("a", "r", "b")
     assert g.triples[0].weight == 0.7
-    assert g.weight_of("c", "r", "d") == 0.9
+    assert {t.key: t.weight for t in g}[("c", "r", "d")] == 0.9
 
 
 def test_index_arrays_foreign_vocab_rejected(graph50):
@@ -70,8 +70,9 @@ def test_csv_round_trip_identity(tmp_path, graph50):
     save_triples_csv(graph50, path)
     back = load_triples_csv(path)
     assert back.keys() == graph50.keys()
+    weights = {t.key: t.weight for t in back}
     for t in graph50:
-        assert back.weight_of(*t.key) == t.weight
+        assert weights[t.key] == t.weight
     # a second save is byte-identical
     path2 = tmp_path / "g2.csv"
     save_triples_csv(back, path2)
@@ -81,17 +82,17 @@ def test_csv_round_trip_identity(tmp_path, graph50):
 def test_csv_missing_weight_defaults_to_one(tmp_path):
     p = tmp_path / "g.csv"
     p.write_text("source,relation,target,weight\na,r,b,\nc,r,d,0.25\n")
-    g = load_triples_csv(p)
-    assert g.weight_of("a", "r", "b") == 1.0
-    assert g.weight_of("c", "r", "d") == 0.25
+    weights = {t.key: t.weight for t in load_triples_csv(p)}
+    assert weights[("a", "r", "b")] == 1.0
+    assert weights[("c", "r", "d")] == 0.25
 
 
 def test_csv_percent_mode(tmp_path):
     p = tmp_path / "g.csv"
     p.write_text("source,relation,target,weight\na,r,b,85\nc,r,d,\n")
-    g = load_triples_csv(p, percent=True)
-    assert g.weight_of("a", "r", "b") == pytest.approx(0.85)
-    assert g.weight_of("c", "r", "d") == 1.0  # absent weight is not scaled
+    weights = {t.key: t.weight for t in load_triples_csv(p, percent=True)}
+    assert weights[("a", "r", "b")] == pytest.approx(0.85)
+    assert weights[("c", "r", "d")] == 1.0  # absent weight is not scaled
 
 
 def test_csv_errors_carry_line_numbers(tmp_path):
