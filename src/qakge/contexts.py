@@ -8,6 +8,7 @@ measures to quality dimensions.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -174,6 +175,8 @@ class AssessmentPlan:
     dimension_edges: tuple[DimensionEdge, ...]
 
     def __post_init__(self):
+        if not isinstance(self.context_id, str) or not self.context_id:
+            raise InputError(f"plan context_id must be a non-empty string, got {self.context_id!r}")
         object.__setattr__(self, "rule_edges", tuple(self.rule_edges))
         object.__setattr__(self, "dimension_edges", tuple(self.dimension_edges))
         rule_pairs = [(e.attribute, e.rule) for e in self.rule_edges]
@@ -284,13 +287,19 @@ def extract_plan(graph: TripleGraph, context_id: str) -> AssessmentPlan:
         for t in graph.triples
         if t.relation == REL_QUALITY_RULE and t.source in attr_set
     )
-    selected = {e.rule for e in rule_edges}
-    dim_edges = tuple(
+    dim_edges = stored_dimension_edges(graph, {e.rule for e in rule_edges})
+    return AssessmentPlan(context_id, rule_edges, dim_edges)
+
+
+def stored_dimension_edges(graph: TripleGraph, rules) -> tuple[DimensionEdge, ...]:
+    """The ``contributesTo`` edges the graph stores for ``rules``, with their
+    weights, in graph order."""
+    wanted = set(rules)
+    return tuple(
         DimensionEdge(t.source, t.target, t.weight)
         for t in graph.triples
-        if t.relation == REL_CONTRIBUTES and t.source in selected
+        if t.relation == REL_CONTRIBUTES and t.source in wanted
     )
-    return AssessmentPlan(context_id, rule_edges, dim_edges)
 
 
 def plan_to_triples(plan: AssessmentPlan) -> list[WeightedTriple]:
@@ -358,22 +367,29 @@ def plan_to_dict(plan: AssessmentPlan, raw_scores: dict[tuple[str, str], float] 
 
 
 def plan_from_dict(doc: dict) -> AssessmentPlan:
-    if not isinstance(doc, dict):
-        raise InputError(f"plan document must be a JSON object, got {type(doc).__name__}")
-    for key in ("context_id", "rule_edges", "dimension_edges"):
-        if key not in doc:
-            raise InputError(f"plan document missing required field {key!r}")
-    try:
-        rule_edges = tuple(
-            RuleEdge(e["attribute"], e["rule"], float(e["weight"])) for e in doc["rule_edges"]
-        )
-        dim_edges = tuple(
-            DimensionEdge(e["rule"], e["dimension"], float(e["weight"]))
-            for e in doc["dimension_edges"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed plan edge: {exc}") from exc
-    return AssessmentPlan(doc["context_id"], rule_edges, dim_edges)
+    """Parse a plan document; the ``model_meta`` and per-edge ``raw_score``
+    entries that :func:`plan_to_dict` may write are dropped."""
+    if isinstance(doc, dict):
+        doc = {k: v for k, v in doc.items() if k != "model_meta"}
+        for key, cls in (("rule_edges", RuleEdge), ("dimension_edges", DimensionEdge)):
+            if isinstance(doc.get(key), list):
+                doc[key] = [_plan_edge_from_dict(cls, e) for e in doc[key]]
+    return from_json_object(AssessmentPlan, doc, "plan")
+
+
+def _plan_edge_from_dict(cls, doc):
+    """One edge of a plan document. Its ends and weight are checked here, not
+    in the edge classes, which the generator builds thousands of times with
+    weights in range by construction."""
+    if isinstance(doc, dict):
+        doc = {k: v for k, v in doc.items() if k != "raw_score"}
+    edge = from_json_object(cls, doc, "plan edge")
+    *ends, weight = (getattr(edge, f.name) for f in fields(cls))
+    if not all(isinstance(end, str) and end for end in ends):
+        raise InputError(f"plan edge ends must be non-empty strings, got {ends!r}")
+    if not (isinstance(weight, numbers.Real) and 0.0 <= weight <= 1.0):
+        raise InputError(f"plan edge weight must be a number in [0, 1], got {weight!r}")
+    return edge
 
 
 def load_json(path: str | Path) -> dict | list:

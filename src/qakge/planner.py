@@ -10,6 +10,11 @@ out-of-sample setting of Albooyeh, Goel & Kazemi, "Out-of-Sample
 Representation Learning for Knowledge Graphs" (Findings of EMNLP 2020).
 Raw scores are mapped to [0, 1] weights with a per-relation min-max
 calibration fitted on the known edges.
+
+Only the missing edges are predicted: the rules of each new attribute, and
+the dimensions of a rule the graph stores none for. The ``contributesTo``
+edges the graph already stores are facts, and a plan copies them with their
+stored weights, exactly as :func:`~qakge.contexts.extract_plan` reads them.
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ from .contexts import (
     RuleEdge,
     attribute_base_name,
     context_to_triples,
+    stored_dimension_edges,
 )
 from .errors import ContextMismatchError, InputError
 from .model import ModelParams, score_all_objects, score_triples
@@ -193,8 +199,10 @@ def generate_plan(
     rows it lacks, on the merged triples that touch them, so a plan costs
     time in proportion to the new context rather than to the graph.
     Calibration is then fitted on the merged graph as in the cold case.
-    Rules are predicted per attribute, dimensions per distinct predicted
-    rule.
+    Rules are predicted per attribute. A predicted rule's dimension edges
+    are the ``contributesTo`` edges the graph stores for it, with their
+    stored weights; dimensions are predicted only for a rule that has none.
+    ``raw_scores`` holds the predicted edges only.
     """
     if not 0.0 <= tau <= 1.0:
         raise InputError(f"tau must lie in [0, 1], got {tau}")
@@ -211,22 +219,21 @@ def generate_plan(
     stats = fit_calibration(model, merged)
 
     rules_avail = rule_pool(merged)
-    dims_avail = dimension_pool(merged)
-
     raw_scores: dict[tuple[str, str], float] = {}
     rule_edges: list[RuleEdge] = []
-    seen_rules: list[str] = []
     for attr in new_context.attributes:
         node = new_context.attribute_node(attr.name)
         for e in predict_rules_for_attribute(model, node, rules_avail, stats,
                                              tau=tau, top_m=top_m):
             rule_edges.append(RuleEdge(e.source, e.target, e.calibrated_weight))
             raw_scores[(e.source, e.target)] = e.raw_score
-            if e.target not in seen_rules:
-                seen_rules.append(e.target)
 
-    dim_edges: list[DimensionEdge] = []
-    for rule in seen_rules:
+    rules = dict.fromkeys(e.rule for e in rule_edges)
+    dim_edges = list(stored_dimension_edges(merged, rules))
+    answered = {e.rule for e in dim_edges}
+    unanswered = [r for r in rules if r not in answered]
+    dims_avail = dimension_pool(merged) if unanswered else ()
+    for rule in unanswered:
         for e in predict_dimensions_for_rule(model, rule, dims_avail, stats,
                                              tau=tau, top_m=top_m):
             dim_edges.append(DimensionEdge(e.source, e.target, e.calibrated_weight))

@@ -271,19 +271,31 @@ def test_malformed_document_exits_one(capsys, world, command, kind, doc, named):
     assert named in err
 
 
-def test_malformed_plan_weight_exits_one(capsys, tmp_path):
+@pytest.mark.parametrize("part, key, value, named", [
+    ("dimension_edges", "weight", "heavy", "weight"),
+    ("dimension_edges", "weight", "0.5", "weight"),
+    ("rule_edges", "weight", 7, "weight"),
+    ("rule_edges", "weight", float("nan"), "weight"),
+    (None, "context_id", 5, "context_id"),
+    ("rule_edges", "attribute", "", "non-empty"),
+    (None, "surprise", 1, "surprise"),
+], ids=["weight-word", "weight-string", "weight-above-one", "weight-nan",
+        "context_id-number", "attribute-empty", "unknown-key"])
+def test_malformed_plan_weight_exits_one(capsys, tmp_path, part, key, value, named):
     ctx = ContextDescriptor(context_id="survey", data_type="structured",
                             attributes=(Attribute("x", "numeric"),))
     plan = plan_to_dict(AssessmentPlan("survey", (RuleEdge("survey_attr_x", "range_check", 0.9),),
-                                       (DimensionEdge("range_check", "accuracy", 0.8),)))
+                                       (DimensionEdge("range_check", "accuracy", 0.8),)),
+                        model_meta={"method": "test"})
     plan_path = write_json(tmp_path / "plan.json", plan)
-    plan["dimension_edges"][0]["weight"] = "heavy"
+    (plan[part][0] if part else plan)[key] = value
     bad_path = write_json(tmp_path / "bad.json", plan)
     ctx_path = write_json(tmp_path / "ctx.json", context_to_dict(ctx))
     code, _, err = run(capsys, "compare", "--plan-a", plan_path, "--plan-b", bad_path,
                        "--context", ctx_path)
     assert code == 1
     assert "error:" in err
+    assert named in err
 
 
 def test_gridsearch_command_writes_sorted_leaderboard(capsys, world):

@@ -3,12 +3,17 @@ import numpy as np
 import pytest
 
 from qakge.contexts import (
+    KIND_MEASURE,
+    REL_CONTRIBUTES,
+    REL_KIND,
     REL_QUALITY_RULE,
     AssessmentPlan,
     Attribute,
     ContextDescriptor,
     DimensionEdge,
     RuleEdge,
+    context_to_triples,
+    plan_to_dict,
 )
 from qakge.errors import ContextMismatchError, InputError
 from qakge.model import ModelParams, init_model
@@ -167,9 +172,38 @@ def test_generate_plan_covers_every_attribute():
 
     assert prov.seconds > 0.0
     assert len(prov.train_report.losses) == FAST_HP.epochs
-    scored = {(e.attribute, e.rule) for e in plan.rule_edges}
-    scored |= {(e.rule, e.dimension) for e in plan.dimension_edges}
-    assert scored <= set(prov.raw_scores)
+    assert {(e.attribute, e.rule) for e in plan.rule_edges} <= set(prov.raw_scores)
+
+
+def test_plan_copies_the_stored_dimension_edges_of_its_rules():
+    graph = small_world()
+    query = radiation_input_context()
+    plan, prov = generate_plan(graph, query, FAST_HP, tau=0.5, top_m=3)
+    merged = graph.extended(context_to_triples(query))
+    stored = {(t.source, t.target, t.weight) for t in merged
+              if t.relation == REL_CONTRIBUTES and t.source in plan.rules}
+    assert {(e.rule, e.dimension, e.weight) for e in plan.dimension_edges} == stored
+    assert not {(e.rule, e.dimension) for e in plan.dimension_edges} & set(prov.raw_scores)
+    doc = plan_to_dict(plan, prov.raw_scores)
+    assert all("raw_score" in e for e in doc["rule_edges"])
+    assert not any("raw_score" in e for e in doc["dimension_edges"])
+
+
+def test_plan_predicts_dimensions_only_for_a_rule_the_graph_stores_none_for():
+    world = small_world()
+    bare = "range_check"  # declared measure in every synthetic graph
+    graph = TripleGraph.from_triples(
+        t for t in world if not (t.relation == REL_CONTRIBUTES and t.source == bare))
+    assert (bare, REL_KIND, KIND_MEASURE) in graph.keys()
+    query = radiation_input_context()
+    # tau 0 keeps every candidate, so every declared measure is a predicted rule
+    plan, prov = generate_plan(graph, query, FAST_HP, tau=0.0, top_m=1)
+    assert bare in plan.rules
+    predicted = [e for e in plan.dimension_edges if e.rule == bare]
+    assert {e.dimension for e in predicted} == set(dimension_pool(graph))
+    assert all((e.rule, e.dimension) in prov.raw_scores for e in predicted)
+    stored = [e for e in plan.dimension_edges if e.rule != bare]
+    assert stored and not {(e.rule, e.dimension) for e in stored} & set(prov.raw_scores)
 
 
 def test_generate_plan_rejects_bad_arguments():
