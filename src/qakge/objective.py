@@ -76,28 +76,90 @@ class TrainingBatch:
         if self.pos.shape[0] != self.pos_weights.shape[0]:
             raise InputError("one weight per positive required")
 
+    def entity_slots(self) -> np.ndarray:
+        """Entity row of every subject and object slot, in the order
+        positive subjects, positive objects, corruption subjects,
+        corruption objects."""
+        return np.concatenate([self.pos[:, 0], self.pos[:, 2], self.neg[:, 0], self.neg[:, 2]])
+
+    def relation_slots(self) -> np.ndarray:
+        """Relation row of every triple, positives first."""
+        return np.concatenate([self.pos[:, 1], self.neg[:, 1]])
+
     def touched_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique entity and relation rows this batch references."""
-        ent = np.unique(np.concatenate([self.pos[:, [0, 2]].ravel(), self.neg[:, [0, 2]].ravel()]))
-        rel = np.unique(np.concatenate([self.pos[:, 1], self.neg[:, 1]]))
-        return ent, rel
+        return np.unique(self.entity_slots()), np.unique(self.relation_slots())
+
+
+def _compact(slots: np.ndarray, trainable: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted unique rows of ``slots`` that ``trainable`` marks (all of
+    them for None), and the buffer row of each slot; a slot whose row is not
+    trained gets ``len(rows)``, one past the last buffer row."""
+    rows, at = np.unique(slots, return_inverse=True)
+    if trainable is None:
+        return rows, at
+    keep = trainable[rows]
+    buffer_row = np.cumsum(keep) - 1
+    buffer_row[~keep] = np.count_nonzero(keep)
+    return rows[keep], buffer_row[at]
+
+
+def scatter_rows(at: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum of the rows of ``values`` grouped by target row ``at``, as an
+    (n_rows, k) array; values whose target row is ``n_rows`` or more are
+    dropped.
+
+    One flat ``np.bincount`` adds, in each cell, the values in the order
+    they come, as ``np.add.at`` would, at a fraction of its cost.
+    """
+    k = values.shape[1]
+    cells = (at[:, None] * k + np.arange(k)).ravel()
+    width = max(n_rows, int(at.max(initial=-1)) + 1) * k
+    summed = np.bincount(cells, weights=values.ravel(), minlength=width)
+    return summed[: n_rows * k].reshape(n_rows, k)
 
 
 @dataclass
 class Gradients:
-    """Dense gradients matching the four parameter matrices."""
+    """Gradients over the rows one batch trains, in compact buffers.
 
+    Row i of ``ent_re`` and ``ent_im`` belongs to entity ``ent_rows[i]``,
+    row i of ``rel_re`` and ``rel_im`` to relation ``rel_rows[i]``.
+    ``ent_at`` and ``rel_at`` give the buffer row of each slot of
+    :meth:`TrainingBatch.entity_slots` and :meth:`TrainingBatch.relation_slots`,
+    or one past the last buffer row for a row that is not trained.
+    """
+
+    ent_rows: np.ndarray
+    rel_rows: np.ndarray
+    ent_at: np.ndarray
+    rel_at: np.ndarray
     ent_re: np.ndarray
     ent_im: np.ndarray
     rel_re: np.ndarray
     rel_im: np.ndarray
 
     @classmethod
-    def zeros_like(cls, model: ModelParams) -> "Gradients":
-        return cls(*(np.zeros_like(a) for a in model.arrays()))
+    def for_batch(
+        cls, batch: TrainingBatch, k: int,
+        trainable: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> "Gradients":
+        """Zero gradients of width ``k`` over the rows ``batch`` touches;
+        with ``trainable`` (entity and relation masks over the vocabulary),
+        over only those of them the masks mark."""
+        ent_mask, rel_mask = (None, None) if trainable is None else trainable
+        ent_rows, ent_at = _compact(batch.entity_slots(), ent_mask)
+        rel_rows, rel_at = _compact(batch.relation_slots(), rel_mask)
+        n, m = len(ent_rows), len(rel_rows)
+        return cls(ent_rows, rel_rows, ent_at, rel_at,
+                   np.zeros((n, k)), np.zeros((n, k)), np.zeros((m, k)), np.zeros((m, k)))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.ent_re, self.ent_im, self.rel_re, self.rel_im)
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The parameter rows each of :meth:`arrays` covers."""
+        return (self.ent_rows, self.ent_rows, self.rel_rows, self.rel_rows)
 
 
 def _neg_weights(batch: TrainingBatch) -> np.ndarray:
@@ -105,27 +167,49 @@ def _neg_weights(batch: TrainingBatch) -> np.ndarray:
 
 
 def _scatter_score_grads(
-    model: ModelParams, grads: Gradients, idx: np.ndarray, coeff: np.ndarray
+    model: ModelParams, grads: Gradients, batch: TrainingBatch,
+    coeff_pos: np.ndarray, coeff_neg: np.ndarray,
 ) -> None:
-    """Accumulate coeff_t * (d f_t / d component) for each triple t in idx."""
+    """Accumulate coeff_t * (d f_t / d component) for each triple t of the
+    batch, with one scatter per matrix. Triples with a zero coefficient add
+    nothing and are skipped.
+
+    Each buffer cell adds its terms in a fixed order: subjects of
+    positives, objects of positives, subjects of corruptions, objects of
+    corruptions. Scattering the four parts one after another with
+    ``np.add.at`` gives the same sums bit for bit.
+    """
+    b, n = batch.pos.shape[0], batch.neg.shape[0]
+    coeff = np.concatenate([coeff_pos, coeff_neg])
     live = coeff != 0.0
     if not live.any():
         return
-    idx = idx[live]
+    idx = np.concatenate([batch.pos, batch.neg])[live]
     coeff = coeff[live][:, None]
     s, p, o = idx[:, 0], idx[:, 1], idx[:, 2]
     sr, si = model.ent_re[s], model.ent_im[s]
     pr, pi = model.rel_re[p], model.rel_im[p]
     or_, oi = model.ent_re[o], model.ent_im[o]
+
+    cut = int(np.count_nonzero(live[:b]))  # live positives come first
+
+    def by_slot(subj: np.ndarray, obj: np.ndarray) -> np.ndarray:
+        return np.concatenate([subj[:cut], obj[:cut], subj[cut:], obj[cut:]])
+
+    at = grads.ent_at
+    ent_at = by_slot(np.concatenate([at[:b], at[2 * b : 2 * b + n]])[live],
+                     np.concatenate([at[b : 2 * b], at[2 * b + n :]])[live])
+    rel_at = grads.rel_at[live]
+    n_ent, n_rel = len(grads.ent_rows), len(grads.rel_rows)
     # df/dsr = pr*or + pi*oi        df/dsi = pr*oi - pi*or
     # df/dpr = sr*or + si*oi        df/dpi = sr*oi - si*or
     # df/dor = sr*pr - si*pi        df/doi = sr*pi + si*pr
-    np.add.at(grads.ent_re, s, coeff * (pr * or_ + pi * oi))
-    np.add.at(grads.ent_im, s, coeff * (pr * oi - pi * or_))
-    np.add.at(grads.rel_re, p, coeff * (sr * or_ + si * oi))
-    np.add.at(grads.rel_im, p, coeff * (sr * oi - si * or_))
-    np.add.at(grads.ent_re, o, coeff * (sr * pr - si * pi))
-    np.add.at(grads.ent_im, o, coeff * (si * pr + sr * pi))
+    grads.ent_re += scatter_rows(
+        ent_at, by_slot(coeff * (pr * or_ + pi * oi), coeff * (sr * pr - si * pi)), n_ent)
+    grads.ent_im += scatter_rows(
+        ent_at, by_slot(coeff * (pr * oi - pi * or_), coeff * (si * pr + sr * pi)), n_ent)
+    grads.rel_re += scatter_rows(rel_at, coeff * (sr * or_ + si * oi), n_rel)
+    grads.rel_im += scatter_rows(rel_at, coeff * (sr * oi - si * or_), n_rel)
 
 
 def hinge_part(
@@ -156,8 +240,7 @@ def hinge_part(
     coeff_pos = -alpha_pos * sigmoid(f_pos) * active.sum(axis=1)
     # dL/df_neg = alpha_neg * sigmoid(f_neg) for each active pair
     coeff_neg = alpha_neg * sigmoid(f_neg) * active.reshape(-1)
-    _scatter_score_grads(model, grads, batch.pos, coeff_pos)
-    _scatter_score_grads(model, grads, batch.neg, coeff_neg)
+    _scatter_score_grads(model, grads, batch, coeff_pos, coeff_neg)
     return loss
 
 
@@ -169,15 +252,16 @@ def regularizer_part(
     lam: float,
     grads: Gradients | None = None,
 ) -> float:
-    """Penalty lam * sum |x|^p over the touched rows; with ``grads``,
-    d/dx = lam * p * |x|^(p-1) * sign(x) is accumulated there."""
+    """Penalty lam * sum |x|^p over the given rows; with ``grads``, which
+    must cover exactly these rows, d/dx = lam * p * |x|^(p-1) * sign(x) is
+    accumulated there."""
     if lam == 0.0:
         return 0.0
     loss = 0.0
-    for rows, name in ((ent_rows, "ent_re"), (ent_rows, "ent_im"),
-                       (rel_rows, "rel_re"), (rel_rows, "rel_im")):
-        x = getattr(model, name)[rows]
+    targets = (None,) * 4 if grads is None else grads.arrays()
+    for param, rows, g in zip(model.arrays(), (ent_rows, ent_rows, rel_rows, rel_rows), targets):
+        x = param[rows]
         loss += float(np.sum(np.abs(x) ** p))
-        if grads is not None:
-            getattr(grads, name)[rows] += lam * p * np.abs(x) ** (p - 1) * np.sign(x)
+        if g is not None:
+            g += lam * p * np.abs(x) ** (p - 1) * np.sign(x)
     return lam * loss

@@ -133,8 +133,11 @@ class _Adam:
         self.t += 1
         bc2 = 1.0 - ADAM_BETA2**self.t
         scale = self.lr / (1.0 - ADAM_BETA1**self.t)
-        for param, g, m, v, rows in zip(model.arrays(), grads.arrays(), self.m, self.v, self.rows):
-            g = g[rows]
+        for param, g, touched, m, v, rows in zip(
+                model.arrays(), grads.arrays(), grads.rows(), self.m, self.v, self.rows):
+            dense = np.zeros_like(param)
+            dense[touched] = g
+            g = dense[rows]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
@@ -146,9 +149,10 @@ def loss_and_grad(
     model: ModelParams, batch: TrainingBatch, hp: Hyperparams, grads: Gradients | None = None
 ) -> float:
     """Hinge + regularizer loss for one batch; with ``grads``, its gradient
-    is accumulated there in place."""
+    is accumulated there in place, and the penalty covers only the rows
+    ``grads`` trains (the others add a constant)."""
     loss = hinge_part(model, batch, hp.margin, grads)
-    ent_rows, rel_rows = batch.touched_rows()
+    ent_rows, rel_rows = batch.touched_rows() if grads is None else (grads.ent_rows, grads.rel_rows)
     loss += regularizer_part(model, ent_rows, rel_rows, hp.reg_p, hp.reg_lambda, grads)
     return loss
 
@@ -196,16 +200,16 @@ def train(
     idx, weights = graph.index_arrays()
     if base is None:
         model = init_model(graph.vocab, hp.k, hp.seed)
-        trainable = (slice(None), slice(None))
+        trainable = None
     else:
         model, ent, rel = _fold_in(graph, hp, base)
         touches = ent[idx[:, 0]] | rel[idx[:, 1]] | ent[idx[:, 2]]
         idx, weights = idx[touches], weights[touches]
-        trainable = (np.flatnonzero(ent), np.flatnonzero(rel))
+        trainable = (ent, rel)
 
     rng = np.random.default_rng((hp.seed, 1))
-    adam = _Adam(model, hp.learning_rate, trainable)
-    grads = Gradients.zeros_like(model)
+    adam = _Adam(model, hp.learning_rate, (slice(None), slice(None)) if trainable is None
+                 else (np.flatnonzero(ent), np.flatnonzero(rel)))
     n = idx.shape[0]
     losses: list[float] = []
     beta = beta_value(0, hp)
@@ -219,8 +223,7 @@ def train(
             pos = idx[take]
             neg = sample_corruptions(pos, hp.eta, graph.vocab, rng)
             batch = TrainingBatch(pos, weights[take], neg, hp.eta, beta)
-            for g in grads.arrays():
-                g.fill(0.0)
+            grads = Gradients.for_batch(batch, hp.k, trainable)
             loss = loss_and_grad(model, batch, hp, grads)
             if not np.isfinite(loss):
                 rows = _non_finite_rows(model, batch)

@@ -10,17 +10,60 @@ import random
 
 import numpy as np
 
-from qakge.model import ModelParams, init_model
-from qakge.objective import Gradients, TrainingBatch
+from qakge.model import ModelParams, init_model, score_triples
+from qakge.objective import Gradients, TrainingBatch, focuse_modulate, sigmoid
 from qakge.training import loss_and_grad
 from qakge.triples import TripleGraph, Vocabulary, WeightedTriple
 
+GRAD_NAMES = ("ent_re", "ent_im", "rel_re", "rel_im")
 
-def dense_gradients(model: ModelParams, batch: TrainingBatch, hp) -> Gradients:
-    """Analytic gradient of the training loss, dense and zero outside touched rows."""
-    grads = Gradients.zeros_like(model)
+
+def dense_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, np.ndarray]:
+    """Analytic gradient of the training loss, expanded from the compact
+    buffers into dense arrays that are zero outside the touched rows."""
+    grads = Gradients.for_batch(batch, model.k)
     loss_and_grad(model, batch, hp, grads)
-    return grads
+    out = {}
+    for name, param, rows, g in zip(GRAD_NAMES, model.arrays(), grads.rows(), grads.arrays()):
+        out[name] = np.zeros_like(param)
+        out[name][rows] = g
+    return out
+
+
+def add_at_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, np.ndarray]:
+    """Dense gradient of the training loss, scattered with ``np.add.at`` one
+    triple group and one side at a time: positives (subject, relation,
+    object), then corruptions, then the penalty over the touched rows."""
+    out = {name: np.zeros_like(a) for name, a in zip(GRAD_NAMES, model.arrays())}
+    beta = batch.beta
+    w_neg = np.repeat(batch.pos_weights, batch.eta)
+    g_pos = focuse_modulate(score_triples(model, batch.pos), batch.pos_weights, beta, True)
+    g_neg = focuse_modulate(score_triples(model, batch.neg), w_neg, beta, False)
+    b = batch.pos.shape[0]
+    active = hp.margin + g_neg.reshape(b, batch.eta) - g_pos[:, None] > 0.0
+    alpha_pos = beta + (1.0 - beta) * batch.pos_weights
+    alpha_neg = beta + (1.0 - beta) * (1.0 - w_neg)
+    coeff_pos = -alpha_pos * sigmoid(score_triples(model, batch.pos)) * active.sum(axis=1)
+    coeff_neg = alpha_neg * sigmoid(score_triples(model, batch.neg)) * active.reshape(-1)
+    for idx, coeff in ((batch.pos, coeff_pos), (batch.neg, coeff_neg)):
+        live = coeff != 0.0
+        idx, c = idx[live], coeff[live][:, None]
+        s, p, o = idx[:, 0], idx[:, 1], idx[:, 2]
+        sr, si, pr, pi = model.ent_re[s], model.ent_im[s], model.rel_re[p], model.rel_im[p]
+        or_, oi = model.ent_re[o], model.ent_im[o]
+        np.add.at(out["ent_re"], s, c * (pr * or_ + pi * oi))
+        np.add.at(out["ent_im"], s, c * (pr * oi - pi * or_))
+        np.add.at(out["rel_re"], p, c * (sr * or_ + si * oi))
+        np.add.at(out["rel_im"], p, c * (sr * oi - si * or_))
+        np.add.at(out["ent_re"], o, c * (sr * pr - si * pi))
+        np.add.at(out["ent_im"], o, c * (si * pr + sr * pi))
+    if hp.reg_lambda != 0.0:
+        ent_rows, rel_rows = batch.touched_rows()
+        lam, q = hp.reg_lambda, hp.reg_p
+        for name, rows in zip(GRAD_NAMES, (ent_rows, ent_rows, rel_rows, rel_rows)):
+            x = getattr(model, name)[rows]
+            out[name][rows] += lam * q * np.abs(x) ** (q - 1) * np.sign(x)
+    return out
 
 
 def fd_gradients(model: ModelParams, batch: TrainingBatch, hp, h: float = 1e-6) -> dict[str, np.ndarray]:

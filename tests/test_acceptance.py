@@ -66,8 +66,7 @@ def test_analytic_gradients_match_finite_differences():
                              eta=int(rng.integers(1, 4)), beta=beta)
         hp = Hyperparams(k=k, margin=float(rng.uniform(0.1, 1.0)),
                          reg_p=4, reg_lambda=float(rng.uniform(0.0, 1e-2)))
-        analytic = dict(zip(("ent_re", "ent_im", "rel_re", "rel_im"),
-                            dense_gradients(model, batch, hp).arrays()))
+        analytic = dense_gradients(model, batch, hp)
         worst = max(worst, max_relative_error(analytic, fd_gradients(model, batch, hp)))
         trials += 1
     _check("analytic gradient vs central differences", worst <= 1e-4,
@@ -161,8 +160,8 @@ def test_weight_modulation_contract():
     g_pos = focuse_modulate(score_triples(model, batch.pos), 0.0, 0.0, True)
     grads = dense_gradients(model, batch, Hyperparams(k=4, reg_lambda=0.0))
     silent = (float(np.abs(g_pos).max()) == 0.0
-              and np.all(grads.ent_re[0] == 0.0) and np.all(grads.ent_im[0] == 0.0)
-              and any(np.abs(arr).max() > 0.0 for arr in grads.arrays()))
+              and np.all(grads["ent_re"][0] == 0.0) and np.all(grads["ent_im"][0] == 0.0)
+              and any(np.abs(arr).max() > 0.0 for arr in grads.values()))
 
     _check("score modulation contract",
            floor >= 0.0 and identical and silent,

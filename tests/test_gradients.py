@@ -2,9 +2,11 @@ import numpy as np
 
 from qakge.model import init_model
 from qakge.objective import Gradients, TrainingBatch
-from qakge.training import Hyperparams
+from qakge.training import Hyperparams, loss_and_grad
 
 from .helpers import (
+    GRAD_NAMES,
+    add_at_gradients,
     dense_gradients,
     fd_gradients,
     max_relative_error,
@@ -12,10 +14,6 @@ from .helpers import (
     random_model,
     small_vocab,
 )
-
-
-def _grad_dict(g: Gradients) -> dict[str, np.ndarray]:
-    return dict(zip(("ent_re", "ent_im", "rel_re", "rel_im"), g.arrays()))
 
 
 def test_analytic_matches_finite_differences_across_betas():
@@ -30,10 +28,50 @@ def test_analytic_matches_finite_differences_across_betas():
                              eta=int(rng.integers(1, 4)), beta=beta)
         hp = Hyperparams(k=k, margin=float(rng.uniform(0.1, 1.0)),
                          reg_p=4, reg_lambda=float(rng.uniform(0.0, 1e-2)))
-        analytic = _grad_dict(dense_gradients(model, batch, hp))
+        analytic = dense_gradients(model, batch, hp)
         numeric = fd_gradients(model, batch, hp)
         err = max_relative_error(analytic, numeric)
         assert err <= 1e-4, f"trial {trial}: rel err {err:.2e} (beta={beta})"
+
+
+def test_compact_gradients_equal_add_at_oracle_bit_for_bit():
+    rng = np.random.default_rng(21)
+    cases = []
+    for trial in range(18):
+        n_ent = int(rng.integers(3, 9))  # few rows, so batches repeat them
+        n_rel = int(rng.integers(1, 3))
+        k = int(rng.integers(2, 7))
+        n_pos = int(rng.integers(3, 9))
+        beta = [0.0, 0.4, 1.0][trial % 3]
+        # a zero weight at beta 0 zeroes its positive's coefficient
+        weights = rng.choice([0.0, 0.5, 1.0], size=n_pos)
+        batch = random_batch(n_ent, n_rel, rng, n_pos=n_pos, eta=int(rng.integers(1, 4)),
+                             beta=beta, weights=weights)
+        hp = Hyperparams(k=k, margin=float(rng.uniform(0.0, 1.0)),
+                         reg_p=int(rng.integers(2, 5)), reg_lambda=[0.0, 1e-2][trial % 2])
+        cases.append((random_model(n_ent, n_rel, k=k, seed=trial), batch, hp))
+    # all-slack hinge: at beta 1 and margin 0 a corruption equal to its
+    # positive violates by exactly 0, so only the penalty is left
+    model = random_model(6, 2, k=3, seed=99)
+    pos = random_batch(6, 2, rng, n_pos=5, eta=1).pos
+    slack = TrainingBatch(pos, np.full(5, 0.7), np.repeat(pos, 2, axis=0), 2, 1.0)
+    cases.append((model, slack, Hyperparams(k=3, margin=0.0, reg_lambda=1e-2)))
+
+    zero_coefficients = 0
+    for model, batch, hp in cases:
+        grads = Gradients.for_batch(batch, model.k)
+        loss_and_grad(model, batch, hp, grads)
+        oracle = add_at_gradients(model, batch, hp)
+        ent_rows, rel_rows = batch.touched_rows()
+        assert np.array_equal(grads.ent_rows, ent_rows)
+        assert np.array_equal(grads.rel_rows, rel_rows)
+        for name, rows, g in zip(GRAD_NAMES, grads.rows(), grads.arrays()):
+            assert (g == oracle[name][rows]).all(), name
+            outside = np.ones(len(oracle[name]), dtype=bool)
+            outside[rows] = False
+            assert (oracle[name][outside] == 0.0).all(), name
+        zero_coefficients += int((batch.beta == 0.0) * np.count_nonzero(batch.pos_weights == 0.0))
+    assert zero_coefficients > 0
 
 
 def test_gradients_zero_outside_touched_rows(model8):
@@ -48,9 +86,9 @@ def test_gradients_zero_outside_touched_rows(model8):
     g = dense_gradients(model8, batch, Hyperparams(k=4, reg_lambda=1e-3))
     untouched_entities = [4, 5, 6, 7]
     for row in untouched_entities:
-        assert np.all(g.ent_re[row] == 0.0)
-        assert np.all(g.ent_im[row] == 0.0)
-    assert np.all(g.rel_re[1:] == 0.0)  # relations 1, 2 unused
+        assert np.all(g["ent_re"][row] == 0.0)
+        assert np.all(g["ent_im"][row] == 0.0)
+    assert np.all(g["rel_re"][1:] == 0.0)  # relations 1, 2 unused
 
 
 def test_inactive_hinge_gives_pure_regularizer_gradient():
@@ -75,7 +113,7 @@ def test_inactive_hinge_gives_pure_regularizer_gradient():
     for name, arr in zip(("ent_re", "ent_im", "rel_re", "rel_im"),
                          (model.ent_re, model.ent_im, model.rel_re, model.rel_im)):
         expected = lam * p * np.abs(arr) ** (p - 1) * np.sign(arr)
-        got = getattr(g, name)
+        got = g[name]
         rows = [0, 1, 2] if name.startswith("ent") else [0]
         assert np.allclose(got[rows], expected[rows], atol=1e-15), name
 
@@ -94,7 +132,7 @@ def test_exact_kink_contributes_zero():
         beta=1.0,
     )
     g = dense_gradients(model, batch, Hyperparams(k=2, margin=0.0, reg_lambda=0.0))
-    for arr in g.arrays():
+    for arr in g.values():
         assert np.all(arr == 0.0)
 
 
@@ -105,7 +143,7 @@ def test_beta_one_gradients_ignore_weights(model8):
     g1 = dense_gradients(model8, base, hp)
     reweighted = TrainingBatch(base.pos, np.full(5, 0.123), base.neg, base.eta, 1.0)
     g2 = dense_gradients(model8, reweighted, hp)
-    for a, b in zip(g1.arrays(), g2.arrays()):
+    for a, b in zip(g1.values(), g2.values()):
         assert np.array_equal(a, b)  # bit identical, not just close
 
 
@@ -119,4 +157,4 @@ def test_beta_zero_weights_change_gradients(model8):
     g_heavy = dense_gradients(model8, heavy, hp)
     g_light = dense_gradients(model8, light, hp)
     assert any(not np.array_equal(a, b)
-               for a, b in zip(g_heavy.arrays(), g_light.arrays()))
+               for a, b in zip(g_heavy.values(), g_light.values()))

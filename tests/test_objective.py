@@ -182,7 +182,7 @@ def test_loss_is_the_same_with_and_without_gradients(model8):
     for beta in (0.0, 0.3, 1.0):
         batch = random_batch(8, 3, rng, beta=beta)
         for hp in (Hyperparams(k=4, reg_lambda=1e-3), Hyperparams(k=4, reg_lambda=0.0)):
-            grads = Gradients.zeros_like(model8)
+            grads = Gradients.for_batch(batch, model8.k)
             with_grads = loss_and_grad(model8, batch, hp, grads)
             assert with_grads == loss_and_grad(model8, batch, hp)
             assert any(np.abs(g).max() > 0.0 for g in grads.arrays())

@@ -7,7 +7,8 @@ import pytest
 from qakge.errors import InputError, TrainingDiverged
 from qakge.model import init_model
 from qakge.contexts import from_json_object
-from qakge.training import Hyperparams, beta_value, train
+from qakge import training
+from qakge.training import Hyperparams, beta_value, loss_and_grad, train
 from qakge.triples import Vocabulary
 
 from .helpers import toy_graph
@@ -140,6 +141,23 @@ def test_frozen_rows_keep_their_values_and_the_rest_train():
     assert not np.allclose(model.ent_re[:2], cold.ent_re[:2])
     assert not np.allclose(model.rel_re[:1], cold.rel_re[:1])
     assert len(report.losses) == SMALL.epochs
+
+
+def test_fold_in_gradients_hold_no_frozen_row(monkeypatch):
+    graph = toy_graph()
+    sub = Vocabulary.from_names(graph.vocab.entities[2:], graph.vocab.relations[1:])
+    seen = []
+
+    def spy(model, batch, hp, grads=None):
+        seen.append((grads.ent_rows.copy(), grads.rel_rows.copy(), batch.touched_rows()))
+        return loss_and_grad(model, batch, hp, grads)
+
+    monkeypatch.setattr(training, "loss_and_grad", spy)
+    train(graph, SMALL, base=init_model(sub, SMALL.k, seed=999))
+    assert len(seen) > 0
+    for ent_rows, rel_rows, (touched_ent, touched_rel) in seen:
+        assert np.array_equal(ent_rows, touched_ent[touched_ent < 2])
+        assert np.array_equal(rel_rows, touched_rel[touched_rel < 1])
 
 
 def test_frozen_vocabulary_must_leave_rows_to_train():
