@@ -116,33 +116,30 @@ class TrainReport:
 
 
 class _Adam:
-    """Adam with bias correction; one moment pair per matrix.
+    """Lazy Adam: each step updates the moments and parameters of the rows
+    its gradients cover and leaves every other row as it is.
 
-    ``rows`` (entity rows, relation rows) index the rows that are updated,
-    ``slice(None)`` for all of them; the moments are sized to them.
+    The step count is global, as in PyTorch ``SparseAdam`` and TF-Addons
+    ``LazyAdam``, so a row's first update is bias-corrected with the number
+    of steps taken so far, not with one.
     """
 
-    def __init__(self, model: ModelParams, lr: float, rows: tuple):
+    def __init__(self, model: ModelParams, lr: float):
         self.lr = lr
         self.t = 0
-        self.rows = (rows[0], rows[0], rows[1], rows[1])
-        self.m = [np.zeros_like(a[r]) for a, r in zip(model.arrays(), self.rows)]
-        self.v = [np.zeros_like(m) for m in self.m]
+        self.m = [np.zeros_like(a) for a in model.arrays()]
+        self.v = [np.zeros_like(a) for a in model.arrays()]
 
     def step(self, model: ModelParams, grads: Gradients) -> None:
         self.t += 1
         bc2 = 1.0 - ADAM_BETA2**self.t
         scale = self.lr / (1.0 - ADAM_BETA1**self.t)
-        for param, g, touched, m, v, rows in zip(
-                model.arrays(), grads.arrays(), grads.rows(), self.m, self.v, self.rows):
-            dense = np.zeros_like(param)
-            dense[touched] = g
-            g = dense[rows]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * np.square(g)
-            param[rows] -= scale * m / (np.sqrt(v / bc2) + ADAM_EPS)
+        for param, g, rows, m, v in zip(model.arrays(), grads.arrays(), grads.rows(), self.m, self.v):
+            m_rows = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * g
+            v_rows = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * np.square(g)
+            m[rows] = m_rows
+            v[rows] = v_rows
+            param[rows] -= scale * m_rows / (np.sqrt(v_rows / bc2) + ADAM_EPS)
 
 
 def loss_and_grad(
@@ -208,8 +205,7 @@ def train(
         trainable = (ent, rel)
 
     rng = np.random.default_rng((hp.seed, 1))
-    adam = _Adam(model, hp.learning_rate, (slice(None), slice(None)) if trainable is None
-                 else (np.flatnonzero(ent), np.flatnonzero(rel)))
+    adam = _Adam(model, hp.learning_rate)
     n = idx.shape[0]
     losses: list[float] = []
     beta = beta_value(0, hp)

@@ -6,6 +6,7 @@ import pytest
 
 from qakge.errors import InputError, TrainingDiverged
 from qakge.model import init_model
+from qakge.objective import Gradients, TrainingBatch
 from qakge.contexts import from_json_object
 from qakge import training
 from qakge.training import Hyperparams, beta_value, loss_and_grad, train
@@ -158,6 +159,37 @@ def test_fold_in_gradients_hold_no_frozen_row(monkeypatch):
     for ent_rows, rel_rows, (touched_ent, touched_rel) in seen:
         assert np.array_equal(ent_rows, touched_ent[touched_ent < 2])
         assert np.array_equal(rel_rows, touched_rel[touched_rel < 1])
+
+
+def test_adam_step_leaves_untouched_rows_and_corrects_with_the_global_count():
+    model = init_model(Vocabulary.from_names([f"e{i}" for i in range(5)], ["r0", "r1"]), 3, seed=1)
+    adam = training._Adam(model, lr=0.01)
+    rng = np.random.default_rng(4)
+
+    def step(pos, neg):
+        batch = TrainingBatch(np.array(pos), np.ones(len(pos)), np.array(neg), 1, 1.0)
+        grads = Gradients.for_batch(batch, model.k)
+        for g in grads.arrays():
+            g[:] = rng.normal(size=g.shape)
+        adam.step(model, grads)
+        return grads
+
+    step([[0, 0, 1]], [[0, 0, 2]])  # entities 0-2 and relation 0
+    before = [a.copy() for a in (*model.arrays(), *adam.m, *adam.v)]
+    grads = step([[3, 1, 1]], [[3, 1, 2]])  # entity 3 and relation 1 start at t = 2
+    after = (*model.arrays(), *adam.m, *adam.v)
+    for old, new in zip(before, after):
+        untouched = (0, 4) if old.shape[0] == 5 else (0,)
+        assert (old[list(untouched)] == new[list(untouched)]).all()
+
+    t, b1, b2, eps = 2, training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
+    for start, param, g, rows in zip(before[:4], model.arrays(), grads.arrays(), grads.rows()):
+        fresh = list(rows).index(3 if param.shape[0] == 5 else 1)
+        m_hat = (1 - b1) * g[fresh] / (1 - b1**t)
+        v_hat = (1 - b2) * g[fresh] ** 2 / (1 - b2**t)
+        row = rows[fresh]
+        assert np.allclose(param[row], start[row] - 0.01 * m_hat / (np.sqrt(v_hat) + eps),
+                           rtol=1e-13, atol=0.0)
 
 
 def test_frozen_vocabulary_must_leave_rows_to_train():
