@@ -16,6 +16,7 @@ import numpy as np
 
 from .contexts import REL_SCHEMA, AssessmentPlan, ContextDescriptor, extract_plan
 from .errors import InputError, NoMatchError, ZeroVectorError
+from .objective import scatter_rows
 from .triples import TripleGraph
 
 logger = logging.getLogger(__name__)
@@ -152,9 +153,9 @@ def train_skipgram(
     """Skip-gram with negative sampling over precomputed walks.
 
     Noise distribution is the unigram frequency of walk tokens raised to
-    0.75. Updates are applied in fixed-size batches with np.add.at, so
-    repeated rows accumulate deterministically. The learning rate decays
-    linearly to a floor of 1e-4 of its start value.
+    0.75. Updates are applied in fixed-size batches, summed per row by
+    ``scatter_rows``, so repeated rows accumulate deterministically. The
+    learning rate decays linearly to a floor of 1e-4 of its start value.
     """
     if d < 1 or negatives < 1 or epochs < 1:
         raise InputError("d, negatives and epochs must all be >= 1")
@@ -200,9 +201,9 @@ def train_skipgram(
             grad_c += np.einsum("bk,bkd->bd", g_neg, u_neg)
             d_neg = g_neg[:, :, None] * vc[:, None, :]
 
-            np.add.at(w_in, centers, -alpha * grad_c)
-            np.add.at(w_out, contexts, -alpha * d_pos)
-            np.add.at(w_out, neg.reshape(-1), -alpha * d_neg.reshape(-1, d))
+            w_in += scatter_rows(centers, -alpha * grad_c, n)
+            w_out += scatter_rows(np.concatenate([contexts, neg.reshape(-1)]),
+                                  -alpha * np.concatenate([d_pos, d_neg.reshape(-1, d)]), n)
             step += 1
     return NodeEmbeddings(names, {name: i for i, name in enumerate(names)}, w_in)
 
