@@ -179,7 +179,7 @@ def _scatter_score_grads(
     corruptions. Scattering the four parts one after another with
     ``np.add.at`` gives the same sums bit for bit.
     """
-    b, n = batch.pos.shape[0], batch.neg.shape[0]
+    b = batch.pos.shape[0]
     coeff = np.concatenate([coeff_pos, coeff_neg])
     live = coeff != 0.0
     if not live.any():
@@ -196,9 +196,7 @@ def _scatter_score_grads(
     def by_slot(subj: np.ndarray, obj: np.ndarray) -> np.ndarray:
         return np.concatenate([subj[:cut], obj[:cut], subj[cut:], obj[cut:]])
 
-    at = grads.ent_at
-    ent_at = by_slot(np.concatenate([at[:b], at[2 * b : 2 * b + n]])[live],
-                     np.concatenate([at[b : 2 * b], at[2 * b + n :]])[live])
+    ent_at = grads.ent_at[np.concatenate([live[:b], live[:b], live[b:], live[b:]])]
     rel_at = grads.rel_at[live]
     n_ent, n_rel = len(grads.ent_rows), len(grads.rel_rows)
     # df/dsr = pr*or + pi*oi        df/dsi = pr*oi - pi*or
