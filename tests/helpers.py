@@ -46,8 +46,7 @@ def add_at_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, 
     coeff_pos = -alpha_pos * sigmoid(score_triples(model, batch.pos)) * active.sum(axis=1)
     coeff_neg = alpha_neg * sigmoid(score_triples(model, batch.neg)) * active.reshape(-1)
     for idx, coeff in ((batch.pos, coeff_pos), (batch.neg, coeff_neg)):
-        live = coeff != 0.0
-        idx, c = idx[live], coeff[live][:, None]
+        c = coeff[:, None]
         s, p, o = idx[:, 0], idx[:, 1], idx[:, 2]
         sr, si, pr, pi = model.ent_re[s], model.ent_im[s], model.rel_re[p], model.rel_im[p]
         or_, oi = model.ent_re[o], model.ent_im[o]

@@ -179,8 +179,8 @@ def test_adam_step_leaves_untouched_rows_and_corrects_with_the_global_count():
     grads = step([[3, 1, 1]], [[3, 1, 2]])  # entity 3 and relation 1 start at t = 2
     after = (*model.arrays(), *adam.m, *adam.v)
     for old, new in zip(before, after):
-        untouched = (0, 4) if old.shape[0] == 5 else (0,)
-        assert (old[list(untouched)] == new[list(untouched)]).all()
+        untouched = [0, 4] if len(old) == 5 else [0]  # entity rows, else relation rows
+        assert (old[untouched] == new[untouched]).all()
 
     t, b1, b2, eps = 2, training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
     for start, param, g, rows in zip(before[:4], model.arrays(), grads.arrays(), grads.rows()):
