@@ -10,7 +10,9 @@ Layout, all little-endian:
     check   8-byte blake2b digest of every preceding byte
 
 The stored name order is the vocabulary order, so a load rebuilds the exact
-id space the model was trained with.
+id space the model was trained with. The model keeps each side as one
+complex matrix; the file stores its real and imaginary parts as separate
+matrices, so the layout does not depend on that choice.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, InputError, VocabMismatchError
-from .model import ModelParams
+from .model import ModelParams, complex_matrix
 from .triples import Vocabulary
 
 MAGIC = b"QAKGE1"
@@ -101,8 +103,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         nbytes = count * 8
         if offset + nbytes > len(body):
             raise CheckpointError(f"{p}: truncated matrix block")
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(rows, k)
-        matrices.append(arr.astype(np.float64, copy=True))
+        matrices.append(np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(rows, k))
         offset += nbytes
     if offset != len(body):
         raise CheckpointError(f"{p}: {len(body) - offset} trailing bytes after matrices")
@@ -110,7 +111,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{p}: non-finite parameter values")
     ent_re, ent_im, rel_re, rel_im = matrices
-    return ModelParams(ent_re, ent_im, rel_re, rel_im, vocab)
+    return ModelParams(complex_matrix(ent_re, ent_im), complex_matrix(rel_re, rel_im), vocab)
 
 
 def ensure_same_vocab(model_vocab: Vocabulary, graph_vocab: Vocabulary) -> None:

@@ -121,23 +121,22 @@ def scatter_rows(at: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
 
 @dataclass
 class Gradients:
-    """Gradients over the rows one batch trains, in compact buffers.
+    """Gradients over the rows one batch trains, in compact complex buffers.
 
-    Row i of ``ent_re`` and ``ent_im`` belongs to entity ``ent_rows[i]``,
-    row i of ``rel_re`` and ``rel_im`` to relation ``rel_rows[i]``.
-    ``ent_at`` and ``rel_at`` give the buffer row of each slot of
-    :meth:`TrainingBatch.entity_slots` and :meth:`TrainingBatch.relation_slots`,
-    or one past the last buffer row for a row that is not trained.
+    Row i of ``ent`` belongs to entity ``ent_rows[i]``, row i of ``rel`` to
+    relation ``rel_rows[i]``; a buffer entry holds d/d(real part) plus
+    1j * d/d(imaginary part) of its parameter. ``ent_at`` and ``rel_at``
+    give the buffer row of each slot of :meth:`TrainingBatch.entity_slots`
+    and :meth:`TrainingBatch.relation_slots`, or one past the last buffer
+    row for a row that is not trained.
     """
 
     ent_rows: np.ndarray
     rel_rows: np.ndarray
     ent_at: np.ndarray
     rel_at: np.ndarray
-    ent_re: np.ndarray
-    ent_im: np.ndarray
-    rel_re: np.ndarray
-    rel_im: np.ndarray
+    ent: np.ndarray  # (len(ent_rows), k) complex128
+    rel: np.ndarray  # (len(rel_rows), k) complex128
 
     @classmethod
     def for_batch(
@@ -150,16 +149,9 @@ class Gradients:
         ent_mask, rel_mask = (None, None) if trainable is None else trainable
         ent_rows, ent_at = _compact(batch.entity_slots(), ent_mask)
         rel_rows, rel_at = _compact(batch.relation_slots(), rel_mask)
-        n, m = len(ent_rows), len(rel_rows)
         return cls(ent_rows, rel_rows, ent_at, rel_at,
-                   np.zeros((n, k)), np.zeros((n, k)), np.zeros((m, k)), np.zeros((m, k)))
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.ent_re, self.ent_im, self.rel_re, self.rel_im)
-
-    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The parameter rows each of :meth:`arrays` covers."""
-        return (self.ent_rows, self.ent_rows, self.rel_rows, self.rel_rows)
+                   np.zeros((len(ent_rows), k), dtype=np.complex128),
+                   np.zeros((len(rel_rows), k), dtype=np.complex128))
 
 
 def _neg_weights(batch: TrainingBatch) -> np.ndarray:
@@ -170,14 +162,20 @@ def _scatter_score_grads(
     model: ModelParams, grads: Gradients, batch: TrainingBatch,
     coeff_pos: np.ndarray, coeff_neg: np.ndarray,
 ) -> None:
-    """Accumulate coeff_t * (d f_t / d component) for each triple t of the
+    """Accumulate coeff_t * (d f_t / d parameter) for each triple t of the
     batch, with one scatter per matrix. Triples with a zero coefficient add
-    nothing and are skipped.
+    nothing and are skipped, and so are the relation terms when no relation
+    row is trained.
 
-    Each buffer cell adds its terms in a fixed order: subjects of
-    positives, objects of positives, subjects of corruptions, objects of
-    corruptions. Scattering the four parts one after another with
-    ``np.add.at`` gives the same sums bit for bit.
+    With f = Re(s * p * conj(o)), the complex gradients are
+
+        d/do = s * p,   d/ds = conj(p) * o,   d/dp = conj(s) * o,
+
+    each scaled by the real coefficient through its float view. Each buffer
+    cell adds its terms in a fixed order: subjects of positives, objects of
+    positives, subjects of corruptions, objects of corruptions. Scattering
+    the four parts one after another with ``np.add.at`` gives the same sums
+    bit for bit.
     """
     b = batch.pos.shape[0]
     coeff = np.concatenate([coeff_pos, coeff_neg])
@@ -186,28 +184,33 @@ def _scatter_score_grads(
         return
     idx = np.concatenate([batch.pos, batch.neg])[live]
     coeff = coeff[live][:, None]
-    s, p, o = idx[:, 0], idx[:, 1], idx[:, 2]
-    sr, si = model.ent_re[s], model.ent_im[s]
-    pr, pi = model.rel_re[p], model.rel_im[p]
-    or_, oi = model.ent_re[o], model.ent_im[o]
+    s, p, o = model.ent[idx[:, 0]], model.rel[idx[:, 1]], model.ent[idx[:, 2]]
+    n_live, cut = len(idx), int(np.count_nonzero(live[:b]))  # live positives come first
 
-    cut = int(np.count_nonzero(live[:b]))  # live positives come first
-
-    def by_slot(subj: np.ndarray, obj: np.ndarray) -> np.ndarray:
-        return np.concatenate([subj[:cut], obj[:cut], subj[cut:], obj[cut:]])
-
+    # entity terms in slot order: subjects and objects of the live
+    # positives, then of the live corruptions
+    ent_terms = np.empty((2 * n_live, model.k), dtype=np.complex128)
+    parts = (slice(0, cut), slice(cut, n_live))
+    subj_terms = (ent_terms[:cut], ent_terms[2 * cut:cut + n_live])
+    obj_terms = (ent_terms[cut:2 * cut], ent_terms[cut + n_live:])
+    for part, out in zip(parts, obj_terms):
+        np.multiply(s[part], p[part], out=out)
+    np.conjugate(p, out=p)
+    for part, out in zip(parts, subj_terms):
+        np.multiply(p[part], o[part], out=out)
+    ent_terms.view(np.float64)[...] *= np.concatenate(
+        [coeff[:cut], coeff[:cut], coeff[cut:], coeff[cut:]])
     ent_at = grads.ent_at[np.concatenate([live[:b], live[:b], live[b:], live[b:]])]
-    rel_at = grads.rel_at[live]
-    n_ent, n_rel = len(grads.ent_rows), len(grads.rel_rows)
-    # df/dsr = pr*or + pi*oi        df/dsi = pr*oi - pi*or
-    # df/dpr = sr*or + si*oi        df/dpi = sr*oi - si*or
-    # df/dor = sr*pr - si*pi        df/doi = sr*pi + si*pr
-    grads.ent_re += scatter_rows(
-        ent_at, by_slot(coeff * (pr * or_ + pi * oi), coeff * (sr * pr - si * pi)), n_ent)
-    grads.ent_im += scatter_rows(
-        ent_at, by_slot(coeff * (pr * oi - pi * or_), coeff * (si * pr + sr * pi)), n_ent)
-    grads.rel_re += scatter_rows(rel_at, coeff * (sr * or_ + si * oi), n_rel)
-    grads.rel_im += scatter_rows(rel_at, coeff * (sr * oi - si * or_), n_rel)
+    grads.ent.view(np.float64)[...] += scatter_rows(
+        ent_at, ent_terms.view(np.float64), len(grads.ent_rows))
+
+    if len(grads.rel_rows) == 0:  # fold-in with every relation frozen
+        return
+    rel_terms = np.conjugate(s, out=s)
+    rel_terms *= o
+    rel_terms.view(np.float64)[...] *= coeff
+    grads.rel.view(np.float64)[...] += scatter_rows(
+        grads.rel_at[live], rel_terms.view(np.float64), len(grads.rel_rows))
 
 
 def hinge_part(
@@ -242,6 +245,19 @@ def hinge_part(
     return loss
 
 
+def int_power(a: np.ndarray, n: int) -> np.ndarray:
+    """a ** n for an integer n >= 0 by repeated squaring, as a new array.
+
+    A few multiplications cost several times less than float ``pow``."""
+    if n < 2:
+        return np.ones_like(a) if n == 0 else a.copy()
+    half = a if n < 4 else int_power(a, n // 2)
+    result = half * half
+    if n & 1:
+        result *= a
+    return result
+
+
 def regularizer_part(
     model: ModelParams,
     ent_rows: np.ndarray,
@@ -250,16 +266,24 @@ def regularizer_part(
     lam: float,
     grads: Gradients | None = None,
 ) -> float:
-    """Penalty lam * sum |x|^p over the given rows; with ``grads``, which
-    must cover exactly these rows, d/dx = lam * p * |x|^(p-1) * sign(x) is
-    accumulated there."""
+    """Penalty lam * sum |x|^p over the real and imaginary parts of the
+    given rows; with ``grads``, which must cover exactly these rows,
+    d/dx = lam * p * |x|^(p-1) * sign(x) is accumulated there (zero at
+    x = 0, also for p = 1)."""
     if lam == 0.0:
         return 0.0
     loss = 0.0
-    targets = (None,) * 4 if grads is None else grads.arrays()
-    for param, rows, g in zip(model.arrays(), (ent_rows, ent_rows, rel_rows, rel_rows), targets):
-        x = param[rows]
-        loss += float(np.sum(np.abs(x) ** p))
+    targets = (None, None) if grads is None else (grads.ent, grads.rel)
+    for param, rows, g in zip((model.ent, model.rel), (ent_rows, rel_rows), targets):
+        x = param[rows].view(np.float64)
+        a = np.abs(x)
+        slope = int_power(a, p - 1)  # |x|^(p-1)
+        loss += float(np.dot(slope.ravel(), a.ravel()))  # sum of |x|^p
         if g is not None:
-            g += lam * p * np.abs(x) ** (p - 1) * np.sign(x)
+            if p == 1:
+                slope = np.sign(x)
+            else:
+                np.copysign(slope, x, out=slope)
+            slope *= lam * p
+            g.view(np.float64)[...] += slope
     return lam * loss

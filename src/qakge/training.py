@@ -121,25 +121,45 @@ class _Adam:
 
     The step count is global, as in PyTorch ``SparseAdam`` and TF-Addons
     ``LazyAdam``, so a row's first update is bias-corrected with the number
-    of steps taken so far, not with one.
+    of steps taken so far, not with one. Real and imaginary parts are
+    separate parameters: the moments are float matrices laid out like the
+    float views of ``model.ent`` and ``model.rel``.
     """
 
     def __init__(self, model: ModelParams, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(a) for a in model.arrays()]
-        self.v = [np.zeros_like(a) for a in model.arrays()]
+        self.m = [np.zeros_like(z.view(np.float64)) for z in (model.ent, model.rel)]
+        self.v = [np.zeros_like(z.view(np.float64)) for z in (model.ent, model.rel)]
 
     def step(self, model: ModelParams, grads: Gradients) -> None:
         self.t += 1
         bc2 = 1.0 - ADAM_BETA2**self.t
         scale = self.lr / (1.0 - ADAM_BETA1**self.t)
-        for param, g, rows, m, v in zip(model.arrays(), grads.arrays(), grads.rows(), self.m, self.v):
-            m_rows = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * g
-            v_rows = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * np.square(g)
+        for param, g, rows, m, v in zip(
+            (model.ent, model.rel), (grads.ent, grads.rel), (grads.ent_rows, grads.rel_rows),
+            self.m, self.v,
+        ):
+            if len(rows) == 0:
+                continue
+            g = g.view(np.float64)
+            scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+            m_rows = m[rows]
+            m_rows *= ADAM_BETA1
+            m_rows += scratch  # beta1 * m + (1 - beta1) * g
             m[rows] = m_rows
+            np.square(g, out=scratch)
+            scratch *= 1.0 - ADAM_BETA2
+            v_rows = v[rows]
+            v_rows *= ADAM_BETA2
+            v_rows += scratch  # beta2 * v + (1 - beta2) * g^2
             v[rows] = v_rows
-            param[rows] -= scale * m_rows / (np.sqrt(v_rows / bc2) + ADAM_EPS)
+            np.divide(v_rows, bc2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += ADAM_EPS
+            m_rows *= scale
+            m_rows /= scratch  # scale * m / (sqrt(v / bc2) + eps)
+            param.view(np.float64)[rows] -= m_rows
 
 
 def loss_and_grad(
@@ -163,16 +183,12 @@ def _fold_in(
         raise InputError(f"warm start dimension {base.k} does not match configured k {hp.k}")
     model = init_model(graph.vocab, hp.k, hp.seed)
     fresh = []
-    for ours, theirs, pairs in (
-        (graph.vocab.entities, base.vocab.entity_index,
-         ((model.ent_re, base.ent_re), (model.ent_im, base.ent_im))),
-        (graph.vocab.relations, base.vocab.relation_index,
-         ((model.rel_re, base.rel_re), (model.rel_im, base.rel_im))),
+    for ours, theirs, dst, src in (
+        (graph.vocab.entities, base.vocab.entity_index, model.ent, base.ent),
+        (graph.vocab.relations, base.vocab.relation_index, model.rel, base.rel),
     ):
         shared = np.array([name in theirs for name in ours], dtype=bool)
-        rows = [theirs[name] for name in ours if name in theirs]
-        for dst, src in pairs:
-            dst[shared] = src[rows]
+        dst[shared] = src[[theirs[name] for name in ours if name in theirs]]
         fresh.append(~shared)
     if not (fresh[0].any() or fresh[1].any()):
         raise InputError("base model covers every row: nothing to train")

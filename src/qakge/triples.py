@@ -121,9 +121,7 @@ class TripleGraph:
             merged[t.key] = t  # dict keeps first position, last value
         seq = tuple(merged.values())
         vocab = Vocabulary.from_names(
-            (name for t in seq for name in (t.source, t.target)),
-            (t.relation for t in seq),
-        )
+            {t.source for t in seq} | {t.target for t in seq}, {t.relation for t in seq})
         return cls(triples=seq, vocab=vocab, _by_key=merged)
 
     def __len__(self) -> int:

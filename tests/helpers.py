@@ -11,11 +11,17 @@ import random
 import numpy as np
 
 from qakge.model import ModelParams, init_model, score_triples
-from qakge.objective import Gradients, TrainingBatch, focuse_modulate, sigmoid
+from qakge.objective import Gradients, TrainingBatch, focuse_modulate, int_power, sigmoid
 from qakge.training import loss_and_grad
 from qakge.triples import TripleGraph, Vocabulary, WeightedTriple
 
 GRAD_NAMES = ("ent_re", "ent_im", "rel_re", "rel_im")
+
+
+def gradient_parts(grads: Gradients) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(parameter rows, gradient view) for each of ``GRAD_NAMES``."""
+    return ((grads.ent_rows, grads.ent.real), (grads.ent_rows, grads.ent.imag),
+            (grads.rel_rows, grads.rel.real), (grads.rel_rows, grads.rel.imag))
 
 
 def dense_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, np.ndarray]:
@@ -24,7 +30,7 @@ def dense_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, n
     grads = Gradients.for_batch(batch, model.k)
     loss_and_grad(model, batch, hp, grads)
     out = {}
-    for name, param, rows, g in zip(GRAD_NAMES, model.arrays(), grads.rows(), grads.arrays()):
+    for name, param, (rows, g) in zip(GRAD_NAMES, model.arrays(), gradient_parts(grads)):
         out[name] = np.zeros_like(param)
         out[name][rows] = g
     return out
@@ -33,7 +39,11 @@ def dense_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, n
 def add_at_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, np.ndarray]:
     """Dense gradient of the training loss, scattered with ``np.add.at`` one
     triple group and one side at a time: positives (subject, relation,
-    object), then corruptions, then the penalty over the touched rows."""
+    object), then corruptions, then the penalty over the touched rows.
+
+    Each term is the library's: numpy's complex product (not bit-equal to
+    the four-product float formula) times the coefficient, and the penalty
+    slope from ``int_power``, so the sums can be compared with ``==``."""
     out = {name: np.zeros_like(a) for name, a in zip(GRAD_NAMES, model.arrays())}
     beta = batch.beta
     w_neg = np.repeat(batch.pos_weights, batch.eta)
@@ -48,20 +58,19 @@ def add_at_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, 
     for idx, coeff in ((batch.pos, coeff_pos), (batch.neg, coeff_neg)):
         c = coeff[:, None]
         s, p, o = idx[:, 0], idx[:, 1], idx[:, 2]
-        sr, si, pr, pi = model.ent_re[s], model.ent_im[s], model.rel_re[p], model.rel_im[p]
-        or_, oi = model.ent_re[o], model.ent_im[o]
-        np.add.at(out["ent_re"], s, c * (pr * or_ + pi * oi))
-        np.add.at(out["ent_im"], s, c * (pr * oi - pi * or_))
-        np.add.at(out["rel_re"], p, c * (sr * or_ + si * oi))
-        np.add.at(out["rel_im"], p, c * (sr * oi - si * or_))
-        np.add.at(out["ent_re"], o, c * (sr * pr - si * pi))
-        np.add.at(out["ent_im"], o, c * (si * pr + sr * pi))
+        e_s, w_p, e_o = model.ent[s], model.rel[p], model.ent[o]
+        for rows, side, grad in ((s, "ent", np.conj(w_p) * e_o),
+                                 (p, "rel", np.conj(e_s) * e_o),
+                                 (o, "ent", e_s * w_p)):
+            np.add.at(out[side + "_re"], rows, c * grad.real)
+            np.add.at(out[side + "_im"], rows, c * grad.imag)
     if hp.reg_lambda != 0.0:
         ent_rows, rel_rows = batch.touched_rows()
         lam, q = hp.reg_lambda, hp.reg_p
         for name, rows in zip(GRAD_NAMES, (ent_rows, ent_rows, rel_rows, rel_rows)):
             x = getattr(model, name)[rows]
-            out[name][rows] += lam * q * np.abs(x) ** (q - 1) * np.sign(x)
+            sign = np.sign(x) if q == 1 else np.copysign(int_power(np.abs(x), q - 1), x)
+            out[name][rows] += lam * q * sign
     return out
 
 

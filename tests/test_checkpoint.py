@@ -1,3 +1,6 @@
+import struct
+from hashlib import blake2b
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,36 @@ def test_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "m2.bin"
     save_checkpoint(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_version_1_layout_is_pinned(tmp_path):
+    """A hand-built version-1 file loads bit for bit and is written back
+    byte for byte."""
+    entities, relations, k = ["a", "café"], ["r"], 2
+    parts = {
+        "ent_re": np.array([[-0.0, 5e-324], [1.0 / 3.0, -2.5]]),
+        "ent_im": np.array([[0.1, -1e300], [0.0, 7.0]]),
+        "rel_re": np.array([[np.nextafter(1.0, 2.0), -0.25]]),
+        "rel_im": np.array([[2.0**-40, -3.0]]),
+    }
+    raw = bytearray(struct.pack("<6sHQQQ", b"QAKGE1", 1, k, len(entities), len(relations)))
+    for name in entities + relations:
+        encoded = name.encode("utf-8")
+        raw += struct.pack("<I", len(encoded)) + encoded
+    for name in ("ent_re", "ent_im", "rel_re", "rel_im"):
+        raw += parts[name].astype("<f8").tobytes()
+    raw += blake2b(bytes(raw), digest_size=8).digest()
+    path = tmp_path / "v1.qkge"
+    path.write_bytes(bytes(raw))
+
+    model = load_checkpoint(path)
+    assert model.vocab.entities == tuple(entities) and model.vocab.relations == tuple(relations)
+    assert model.ent.dtype == model.rel.dtype == np.complex128
+    for name, values in parts.items():
+        assert getattr(model, name).tobytes() == values.tobytes(), name
+    again = tmp_path / "again.qkge"
+    save_checkpoint(model, again)
+    assert again.read_bytes() == bytes(raw)
 
 
 def test_unicode_names_survive(tmp_path):

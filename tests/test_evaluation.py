@@ -15,8 +15,8 @@ def crafted_model(ent_values: list[float]) -> ModelParams:
     """k=1 model over entities a,b,c,... where score(s,r,o) = v[s] * v[o]."""
     names = [chr(ord("a") + i) for i in range(len(ent_values))]
     vocab = Vocabulary.from_names(names, ["r"])
-    col = np.asarray(ent_values, dtype=np.float64).reshape(-1, 1)
-    return ModelParams(col, np.zeros_like(col), np.ones((1, 1)), np.zeros((1, 1)), vocab)
+    col = np.asarray(ent_values, dtype=np.complex128).reshape(-1, 1)
+    return ModelParams(col, np.ones((1, 1), dtype=np.complex128), vocab)
 
 
 def object_rank(model: ModelParams, triple, known=(), protocol: str = "raw") -> int:

@@ -9,6 +9,7 @@ from .helpers import (
     add_at_gradients,
     dense_gradients,
     fd_gradients,
+    gradient_parts,
     max_relative_error,
     random_batch,
     random_model,
@@ -65,7 +66,7 @@ def test_compact_gradients_equal_add_at_oracle_bit_for_bit():
         ent_rows, rel_rows = batch.touched_rows()
         assert np.array_equal(grads.ent_rows, ent_rows)
         assert np.array_equal(grads.rel_rows, rel_rows)
-        for name, rows, g in zip(GRAD_NAMES, grads.rows(), grads.arrays()):
+        for name, (rows, g) in zip(GRAD_NAMES, gradient_parts(grads)):
             assert (g == oracle[name][rows]).all(), name
             outside = np.ones(len(oracle[name]), dtype=bool)
             outside[rows] = False

@@ -35,8 +35,12 @@ def test_init_shapes_bounds_determinism():
 def test_params_shape_validation():
     vocab = small_vocab(3, 2)
     good = init_model(vocab, 4, 0)
-    with pytest.raises(InputError):
-        ModelParams(good.ent_re[:2], good.ent_im, good.rel_re, good.rel_im, vocab)
+    with pytest.raises(InputError, match="shapes"):
+        ModelParams(good.ent[:2], good.rel, vocab)
+    with pytest.raises(InputError, match="complex128"):
+        ModelParams(good.ent_re.copy(), good.rel, vocab)
+    with pytest.raises(InputError, match="complex128"):
+        ModelParams(good.ent[:, ::2], good.rel[:, ::2], vocab)  # strided, no float view
 
 
 def test_score_matches_python_complex_arithmetic(model8):

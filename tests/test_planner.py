@@ -37,9 +37,8 @@ def k1_model(values: dict[str, float], relations: list[str]) -> ModelParams:
     """k=1 model where score(s, r, o) = values[s] * values[o] for every r."""
     names = sorted(values)
     vocab = Vocabulary.from_names(names, relations)
-    col = np.array([[values[n]] for n in vocab.entities])
-    m = len(relations)
-    return ModelParams(col, np.zeros_like(col), np.ones((m, 1)), np.zeros((m, 1)), vocab)
+    col = np.array([[values[n]] for n in vocab.entities], dtype=np.complex128)
+    return ModelParams(col, np.ones((len(relations), 1), dtype=np.complex128), vocab)
 
 
 def test_calibrate_weight_worked_examples():

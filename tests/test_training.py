@@ -12,7 +12,7 @@ from qakge import training
 from qakge.training import Hyperparams, beta_value, loss_and_grad, train
 from qakge.triples import Vocabulary
 
-from .helpers import toy_graph
+from .helpers import gradient_parts, toy_graph
 
 SMALL = Hyperparams(k=6, eta=2, batch_size=16, learning_rate=1e-3, epochs=4, seed=3)
 
@@ -161,6 +161,28 @@ def test_fold_in_gradients_hold_no_frozen_row(monkeypatch):
         assert np.array_equal(rel_rows, touched_rel[touched_rel < 1])
 
 
+def test_fold_in_with_every_relation_frozen_skips_the_relation_terms(monkeypatch):
+    graph = toy_graph()
+    base = init_model(Vocabulary.from_names(graph.vocab.entities[3:], graph.vocab.relations),
+                      SMALL.k, seed=999)
+    fresh = np.arange(graph.vocab.n_entities) < 3
+    checked = []
+
+    def spy(model, batch, hp, grads=None):
+        loss = loss_and_grad(model, batch, hp, grads)
+        live = Gradients.for_batch(batch, hp.k, (fresh, np.ones(graph.vocab.n_relations, bool)))
+        loss_and_grad(model, batch, hp, live)
+        assert grads.rel.shape == (0, hp.k) and len(grads.rel_rows) == 0
+        assert np.array_equal(grads.ent_rows, live.ent_rows)
+        assert (grads.ent == live.ent).all()
+        checked.append(bool(np.abs(live.rel).max() > 0.0))
+        return loss
+
+    monkeypatch.setattr(training, "loss_and_grad", spy)
+    train(graph, SMALL, base=base)
+    assert checked and all(checked)  # the skipped relation terms were not all zero
+
+
 def test_adam_step_leaves_untouched_rows_and_corrects_with_the_global_count():
     model = init_model(Vocabulary.from_names([f"e{i}" for i in range(5)], ["r0", "r1"]), 3, seed=1)
     adam = training._Adam(model, lr=0.01)
@@ -169,7 +191,7 @@ def test_adam_step_leaves_untouched_rows_and_corrects_with_the_global_count():
     def step(pos, neg):
         batch = TrainingBatch(np.array(pos), np.ones(len(pos)), np.array(neg), 1, 1.0)
         grads = Gradients.for_batch(batch, model.k)
-        for g in grads.arrays():
+        for _, g in gradient_parts(grads):
             g[:] = rng.normal(size=g.shape)
         adam.step(model, grads)
         return grads
@@ -183,7 +205,7 @@ def test_adam_step_leaves_untouched_rows_and_corrects_with_the_global_count():
         assert (old[untouched] == new[untouched]).all()
 
     t, b1, b2, eps = 2, training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
-    for start, param, g, rows in zip(before[:4], model.arrays(), grads.arrays(), grads.rows()):
+    for start, param, (rows, g) in zip(before[:4], model.arrays(), gradient_parts(grads)):
         fresh = list(rows).index(3 if param.shape[0] == 5 else 1)
         m_hat = (1 - b1) * g[fresh] / (1 - b1**t)
         v_hat = (1 - b2) * g[fresh] ** 2 / (1 - b2**t)
