@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import ModelParams, score_all_objects, score_all_subjects
-from .objective import TrainingBatch
+from .objective import Arena, TrainingBatch
 from .sampling import sample_corruptions
 from .training import Hyperparams, loss_and_grad
 from .triples import TripleGraph
@@ -156,28 +156,29 @@ def validation_loss(
         raise InputError("cannot evaluate loss on an empty graph")
     idx, weights = graph.index_arrays(model.vocab)
     rng = np.random.default_rng((seed, 99))
+    arena = Arena.for_batches(min(len(graph), hp.batch_size), hp.eta, model.k,
+                              model.vocab.n_entities, model.vocab.n_relations)
     total = 0.0
     for start in range(0, len(graph), hp.batch_size):
         pos = idx[start : start + hp.batch_size]
         neg = sample_corruptions(pos, hp.eta, model.vocab, rng)
         batch = TrainingBatch(pos, weights[start : start + hp.batch_size], neg, hp.eta, beta)
-        total += loss_and_grad(model, batch, hp)
+        total += loss_and_grad(model, batch, hp, arena=arena)
     return total / len(graph)
 
 
-def evaluate(
+def ranking_metrics(
     model: ModelParams,
     test_graph: TripleGraph,
     known_positives: TripleGraph | Iterable[tuple[str, str, str]],
     hits_at: tuple[int, ...] = DEFAULT_HITS,
     protocol: str = "filtered",
-    *,
-    hp: Hyperparams | None = None,
-) -> EvalMetrics:
+) -> tuple[list[RankRecord], dict]:
     """Rank every test triple on both sides and aggregate.
 
-    ``known_positives`` should contain all facts treated as true (typically
-    train + test) when the protocol is filtered.
+    Returns the rank records and a dict of ``mrr``, ``mr``, ``hits`` and
+    ``per_relation_mrr``. ``known_positives`` should contain all facts
+    treated as true (typically train + test) when the protocol is filtered.
     """
     if protocol not in PROTOCOLS:
         raise InputError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
@@ -196,22 +197,26 @@ def evaluate(
             rank = _rank_side(model, s, p, o, side, by_sp, by_po, filtered)
             records.append(RankRecord(t.source, t.relation, t.target, side, rank))
 
-    agg = aggregate_ranks([r.rank for r in records], hits_at)
-    hp = hp if hp is not None else Hyperparams()
-    loss = validation_loss(model, test_graph, hp)
-
     by_relation: dict[str, list[float]] = {}
     for r in records:
         by_relation.setdefault(r.relation, []).append(1.0 / r.rank)
     per_relation = {rel: float(np.mean(vals)) for rel, vals in sorted(by_relation.items())}
+    return records, {**aggregate_ranks([r.rank for r in records], hits_at),
+                     "per_relation_mrr": per_relation}
 
-    return EvalMetrics(
-        loss=loss,
-        mrr=agg["mrr"],
-        mr=agg["mr"],
-        hits=agg["hits"],
-        n_test=len(test_graph.triples),
-        protocol=protocol,
-        ranks=records,
-        per_relation_mrr=per_relation,
-    )
+
+def evaluate(
+    model: ModelParams,
+    test_graph: TripleGraph,
+    known_positives: TripleGraph | Iterable[tuple[str, str, str]],
+    hits_at: tuple[int, ...] = DEFAULT_HITS,
+    protocol: str = "filtered",
+    *,
+    hp: Hyperparams | None = None,
+) -> EvalMetrics:
+    """:func:`ranking_metrics` plus the :func:`validation_loss` of the test
+    triples under ``hp`` (the default hyperparameters when None)."""
+    records, summary = ranking_metrics(model, test_graph, known_positives, hits_at, protocol)
+    loss = validation_loss(model, test_graph, hp if hp is not None else Hyperparams())
+    return EvalMetrics(loss=loss, n_test=len(test_graph.triples), protocol=protocol,
+                       ranks=records, **summary)

@@ -8,7 +8,7 @@ from dataclasses import replace
 from typing import Any, Mapping, Sequence
 
 from .errors import InputError
-from .evaluation import evaluate
+from .evaluation import ranking_metrics
 from .training import Hyperparams, train
 from .triples import TripleGraph
 
@@ -57,7 +57,7 @@ def grid_search(
             raise InputError(f"unknown hyperparameter in grid: {exc}") from None
         t0 = time.perf_counter()
         model, _ = train(train_graph, hp)
-        mrr = evaluate(model, valid_graph, known, hp=hp).mrr
+        mrr = ranking_metrics(model, valid_graph, known)[1]["mrr"]
         elapsed = time.perf_counter() - t0
         logger.info("grid %d/%d: %s -> val_mrr %.6f (%.1fs)",
                     combo_no + 1, len(combos), combo, mrr, elapsed)

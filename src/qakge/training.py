@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, TrainingDiverged
 from .model import ModelParams, init_model, score_triples
-from .objective import Gradients, TrainingBatch, hinge_part, regularizer_part
+from .objective import Arena, Gradients, TrainingBatch, hinge_part, regularizer_part
 from .sampling import sample_corruptions
 from .triples import TripleGraph
 
@@ -132,7 +132,11 @@ class _Adam:
         self.m = [np.zeros_like(z.view(np.float64)) for z in (model.ent, model.rel)]
         self.v = [np.zeros_like(z.view(np.float64)) for z in (model.ent, model.rel)]
 
-    def step(self, model: ModelParams, grads: Gradients) -> None:
+    def step(self, model: ModelParams, grads: Gradients, arena: Arena | None = None) -> None:
+        """One update; its temporaries are the four row buffers of ``arena``
+        (or of a fresh one)."""
+        if arena is None:
+            arena = Arena(0, model.k, len(grads.ent_rows), len(grads.rel_rows))
         self.t += 1
         bc2 = 1.0 - ADAM_BETA2**self.t
         scale = self.lr / (1.0 - ADAM_BETA1**self.t)
@@ -142,15 +146,16 @@ class _Adam:
         ):
             if len(rows) == 0:
                 continue
+            scratch, m_rows, v_rows, p_rows = (buf[: len(rows)] for buf in arena.rows)
             g = g.view(np.float64)
-            scratch = np.multiply(g, 1.0 - ADAM_BETA1)
-            m_rows = m[rows]
+            np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+            np.take(m, rows, axis=0, out=m_rows, mode="wrap")
             m_rows *= ADAM_BETA1
             m_rows += scratch  # beta1 * m + (1 - beta1) * g
             m[rows] = m_rows
             np.square(g, out=scratch)
             scratch *= 1.0 - ADAM_BETA2
-            v_rows = v[rows]
+            np.take(v, rows, axis=0, out=v_rows, mode="wrap")
             v_rows *= ADAM_BETA2
             v_rows += scratch  # beta2 * v + (1 - beta2) * g^2
             v[rows] = v_rows
@@ -159,18 +164,23 @@ class _Adam:
             scratch += ADAM_EPS
             m_rows *= scale
             m_rows /= scratch  # scale * m / (sqrt(v / bc2) + eps)
-            param.view(np.float64)[rows] -= m_rows
+            param = param.view(np.float64)
+            np.take(param, rows, axis=0, out=p_rows, mode="wrap")
+            p_rows -= m_rows
+            param[rows] = p_rows
 
 
 def loss_and_grad(
-    model: ModelParams, batch: TrainingBatch, hp: Hyperparams, grads: Gradients | None = None
+    model: ModelParams, batch: TrainingBatch, hp: Hyperparams, grads: Gradients | None = None,
+    arena: Arena | None = None,
 ) -> float:
     """Hinge + regularizer loss for one batch; with ``grads``, its gradient
     is accumulated there in place, and the penalty covers only the rows
-    ``grads`` trains (the others add a constant)."""
-    loss = hinge_part(model, batch, hp.margin, grads)
+    ``grads`` trains (the others add a constant). Both parts take their
+    scratch from ``arena``, or from fresh ones."""
+    loss = hinge_part(model, batch, hp.margin, grads, arena)
     ent_rows, rel_rows = batch.touched_rows() if grads is None else (grads.ent_rows, grads.rel_rows)
-    loss += regularizer_part(model, ent_rows, rel_rows, hp.reg_p, hp.reg_lambda, grads)
+    loss += regularizer_part(model, ent_rows, rel_rows, hp.reg_p, hp.reg_lambda, grads, arena)
     return loss
 
 
@@ -214,15 +224,18 @@ def train(
     if base is None:
         model = init_model(graph.vocab, hp.k, hp.seed)
         trainable = None
+        n_ent, n_rel = model.vocab.n_entities, model.vocab.n_relations
     else:
         model, ent, rel = _fold_in(graph, hp, base)
         touches = ent[idx[:, 0]] | rel[idx[:, 1]] | ent[idx[:, 2]]
         idx, weights = idx[touches], weights[touches]
         trainable = (ent, rel)
+        n_ent, n_rel = np.count_nonzero(ent), np.count_nonzero(rel)
 
     rng = np.random.default_rng((hp.seed, 1))
     adam = _Adam(model, hp.learning_rate)
     n = idx.shape[0]
+    arena = Arena.for_batches(min(n, hp.batch_size), hp.eta, hp.k, n_ent, n_rel)
     losses: list[float] = []
     beta = beta_value(0, hp)
     started = time.perf_counter()
@@ -235,12 +248,12 @@ def train(
             pos = idx[take]
             neg = sample_corruptions(pos, hp.eta, graph.vocab, rng)
             batch = TrainingBatch(pos, weights[take], neg, hp.eta, beta)
-            grads = Gradients.for_batch(batch, hp.k, trainable)
-            loss = loss_and_grad(model, batch, hp, grads)
+            grads = Gradients.for_batch(batch, model, trainable, arena)
+            loss = loss_and_grad(model, batch, hp, grads, arena)
             if not np.isfinite(loss):
                 rows = _non_finite_rows(model, batch)
                 raise TrainingDiverged(epoch, batch_no, rows)
-            adam.step(model, grads)
+            adam.step(model, grads, arena)
             epoch_loss += loss
         losses.append(epoch_loss)
     report = TrainReport(

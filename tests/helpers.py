@@ -27,7 +27,7 @@ def gradient_parts(grads: Gradients) -> tuple[tuple[np.ndarray, np.ndarray], ...
 def dense_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, np.ndarray]:
     """Analytic gradient of the training loss, expanded from the compact
     buffers into dense arrays that are zero outside the touched rows."""
-    grads = Gradients.for_batch(batch, model.k)
+    grads = Gradients.for_batch(batch, model)
     loss_and_grad(model, batch, hp, grads)
     out = {}
     for name, param, (rows, g) in zip(GRAD_NAMES, model.arrays(), gradient_parts(grads)):

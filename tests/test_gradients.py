@@ -60,7 +60,7 @@ def test_compact_gradients_equal_add_at_oracle_bit_for_bit():
     assert any(b.beta == 0.0 and (b.pos_weights == 0.0).any() for _, b, _ in cases)
 
     for model, batch, hp in cases:
-        grads = Gradients.for_batch(batch, model.k)
+        grads = Gradients.for_batch(batch, model)
         loss_and_grad(model, batch, hp, grads)
         oracle = add_at_gradients(model, batch, hp)
         ent_rows, rel_rows = batch.touched_rows()

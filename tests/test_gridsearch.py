@@ -56,6 +56,18 @@ def test_grid_search_scores_filtered_validation_mrr():
     assert board[0]["params"] == {"margin": best.margin, "eta": best.eta}
 
 
+def test_grid_search_computes_no_validation_loss(monkeypatch):
+    import qakge.evaluation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid_search computed a validation loss")
+
+    monkeypatch.setattr(qakge.evaluation, "validation_loss", refuse)
+    train_g, valid_g = split_toy()
+    _, board = grid_search(train_g, valid_g, {"margin": [0.3]}, budget_epochs=1, base=BASE)
+    assert len(board) == 1
+
+
 def test_grid_search_ties_keep_enumeration_order():
     # with focuse off beta is pinned at 1, so the decay span cannot change the model
     train_g, valid_g = split_toy()

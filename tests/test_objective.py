@@ -165,7 +165,7 @@ def test_regularizer_part_low_powers_at_zero_and_negative_values():
         for arr, values in zip(model.arrays(), row):
             arr[0] = values
         pos = np.array([[0, 0, 0]], dtype=np.int64)
-        grads = Gradients.for_batch(TrainingBatch(pos, np.ones(1), pos, 1, 1.0), 2)
+        grads = Gradients.for_batch(TrainingBatch(pos, np.ones(1), pos, 1, 1.0), model)
         touched = np.array([0])
         assert regularizer_part(model, touched, touched, p, lam, grads) == loss, p
         assert grads.ent.real.tolist() == [d_re], p
@@ -200,6 +200,18 @@ def test_training_batch_validation():
     assert list(rel_rows) == [0]
 
 
+def test_out_of_range_ids_raise_index_error(model8):
+    hp = Hyperparams(k=4, reg_lambda=1e-3)
+    for bad in ([[0, 0, 8]], [[-1, 0, 1]], [[0, 3, 1]], [[0, -1, 1]]):
+        pos = np.array(bad, dtype=np.int64)
+        batch = TrainingBatch(pos, np.ones(1), np.array([[2, 0, 1]]), 1, 0.5)
+        with pytest.raises(IndexError):
+            Gradients.for_batch(batch, model8)
+    batch = TrainingBatch(np.array([[0, 0, 8]]), np.ones(1), np.array([[2, 0, 1]]), 1, 0.5)
+    with pytest.raises(IndexError):
+        loss_and_grad(model8, batch, hp)
+
+
 def test_loss_and_grad_is_finite_and_deterministic(model8):
     rng = np.random.default_rng(5)
     batch = random_batch(8, 3, rng)
@@ -215,7 +227,7 @@ def test_loss_is_the_same_with_and_without_gradients(model8):
     for beta in (0.0, 0.3, 1.0):
         batch = random_batch(8, 3, rng, beta=beta)
         for hp in (Hyperparams(k=4, reg_lambda=1e-3), Hyperparams(k=4, reg_lambda=0.0)):
-            grads = Gradients.for_batch(batch, model8.k)
+            grads = Gradients.for_batch(batch, model8)
             with_grads = loss_and_grad(model8, batch, hp, grads)
             assert with_grads == loss_and_grad(model8, batch, hp)
             assert np.abs(grads.ent).max() > 0.0 or np.abs(grads.rel).max() > 0.0

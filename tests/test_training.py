@@ -6,7 +6,7 @@ import pytest
 
 from qakge.errors import InputError, TrainingDiverged
 from qakge.model import init_model
-from qakge.objective import Gradients, TrainingBatch
+from qakge.objective import Gradients, TrainingBatch, regularizer_part
 from qakge.contexts import from_json_object
 from qakge import training
 from qakge.training import Hyperparams, beta_value, loss_and_grad, train
@@ -149,9 +149,9 @@ def test_fold_in_gradients_hold_no_frozen_row(monkeypatch):
     sub = Vocabulary.from_names(graph.vocab.entities[2:], graph.vocab.relations[1:])
     seen = []
 
-    def spy(model, batch, hp, grads=None):
+    def spy(model, batch, hp, grads=None, arena=None):
         seen.append((grads.ent_rows.copy(), grads.rel_rows.copy(), batch.touched_rows()))
-        return loss_and_grad(model, batch, hp, grads)
+        return loss_and_grad(model, batch, hp, grads, arena)
 
     monkeypatch.setattr(training, "loss_and_grad", spy)
     train(graph, SMALL, base=init_model(sub, SMALL.k, seed=999))
@@ -168,9 +168,9 @@ def test_fold_in_with_every_relation_frozen_skips_the_relation_terms(monkeypatch
     fresh = np.arange(graph.vocab.n_entities) < 3
     checked = []
 
-    def spy(model, batch, hp, grads=None):
-        loss = loss_and_grad(model, batch, hp, grads)
-        live = Gradients.for_batch(batch, hp.k, (fresh, np.ones(graph.vocab.n_relations, bool)))
+    def spy(model, batch, hp, grads=None, arena=None):
+        loss = loss_and_grad(model, batch, hp, grads, arena)
+        live = Gradients.for_batch(batch, model, (fresh, np.ones(graph.vocab.n_relations, bool)))
         loss_and_grad(model, batch, hp, live)
         assert grads.rel.shape == (0, hp.k) and len(grads.rel_rows) == 0
         assert np.array_equal(grads.ent_rows, live.ent_rows)
@@ -183,6 +183,50 @@ def test_fold_in_with_every_relation_frozen_skips_the_relation_terms(monkeypatch
     assert checked and all(checked)  # the skipped relation terms were not all zero
 
 
+def _poisoned(monkeypatch):
+    """Make ``train`` fill its arena with NaN before every batch, and its
+    scratch region again before the penalty and the Adam step, so a cell
+    read before it is written turns the parameters into NaN."""
+
+    def poison(arena, *views):
+        for view in (arena.first, arena.second, arena.cells, *arena.rows, *views):
+            view.view(np.float64)[...] = np.nan
+
+    class PoisonedGradients(Gradients):
+        @classmethod
+        def for_batch(cls, batch, model, trainable=None, arena=None):
+            poison(arena, arena.ent, arena.rel)
+            return Gradients.for_batch(batch, model, trainable, arena)
+
+    def penalty(model, ent_rows, rel_rows, p, lam, grads=None, arena=None):
+        poison(arena)
+        return regularizer_part(model, ent_rows, rel_rows, p, lam, grads, arena)
+
+    step = training._Adam.step
+
+    def adam_step(self, model, grads, arena=None):
+        poison(arena)
+        return step(self, model, grads, arena)
+
+    monkeypatch.setattr(training, "Gradients", PoisonedGradients)
+    monkeypatch.setattr(training, "regularizer_part", penalty)
+    monkeypatch.setattr(training._Adam, "step", adam_step)
+
+
+def test_no_arena_cell_is_read_before_it_is_written(monkeypatch):
+    graph = toy_graph()
+    hp = dataclasses.replace(SMALL, reg_p=3, reg_lambda=1e-2)
+    sub = Vocabulary.from_names(graph.vocab.entities[2:], graph.vocab.relations[1:])
+    base = init_model(sub, SMALL.k, seed=999)
+    clean = [train(graph, hp), train(graph, hp, base=base)]
+    _poisoned(monkeypatch)
+    for (model, report), (want, want_report) in zip(
+            [train(graph, hp), train(graph, hp, base=base)], clean):
+        for got, expected in zip(model.arrays(), want.arrays()):
+            assert np.array_equal(got, expected)
+        assert report.losses == want_report.losses
+
+
 def test_adam_step_leaves_untouched_rows_and_corrects_with_the_global_count():
     model = init_model(Vocabulary.from_names([f"e{i}" for i in range(5)], ["r0", "r1"]), 3, seed=1)
     adam = training._Adam(model, lr=0.01)
@@ -190,7 +234,7 @@ def test_adam_step_leaves_untouched_rows_and_corrects_with_the_global_count():
 
     def step(pos, neg):
         batch = TrainingBatch(np.array(pos), np.ones(len(pos)), np.array(neg), 1, 1.0)
-        grads = Gradients.for_batch(batch, model.k)
+        grads = Gradients.for_batch(batch, model)
         for _, g in gradient_parts(grads):
             g[:] = rng.normal(size=g.shape)
         adam.step(model, grads)
