@@ -10,9 +10,9 @@ Layout, all little-endian:
     check   8-byte blake2b digest of every preceding byte
 
 The stored name order is the vocabulary order, so a load rebuilds the exact
-id space the model was trained with. The model keeps each side as one
-complex matrix; the file stores its real and imaginary parts as separate
-matrices, so the layout does not depend on that choice.
+id space the model was trained with. The model keeps both sides in one
+complex block; the file stores the real and imaginary parts of each side as
+separate matrices, so the layout does not depend on that choice.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, InputError, VocabMismatchError
-from .model import ModelParams, complex_matrix
+from .model import ModelParams
 from .triples import Vocabulary
 
 MAGIC = b"QAKGE1"
@@ -110,8 +110,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     for arr in matrices:
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{p}: non-finite parameter values")
-    ent_re, ent_im, rel_re, rel_im = matrices
-    return ModelParams(complex_matrix(ent_re, ent_im), complex_matrix(rel_re, rel_im), vocab)
+    model = ModelParams.empty(vocab, k)
+    for part, values in zip(model.arrays(), matrices):
+        part[...] = values
+    return model
 
 
 def ensure_same_vocab(model_vocab: Vocabulary, graph_vocab: Vocabulary) -> None:

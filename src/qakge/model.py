@@ -13,17 +13,20 @@ which expands over real components to
 The asymmetry under s <-> o lives entirely in the imaginary relation part,
 so one relation can model both symmetric and directed patterns.
 
-The vectors are stored as one complex128 matrix per side. Its float64 view
-``z.view(np.float64)`` interleaves real and imaginary parts, so
-Re(a * conj(b)) of two complex vectors is the dot product of their float
-views, and scoring one query against every entity is one matrix-vector
-product over contiguous memory. A strided ``.real`` view would make BLAS
-copy or fall back to a slower loop.
+The vectors are stored as one C-contiguous complex128 block with a row per
+entity, then a row per relation: relation p is block row
+``n_entities + p``, so a training step gathers, scatters and updates the
+rows of both kinds at once. ``ent`` and ``rel`` are row views of the block.
+Its float64 view ``z.view(np.float64)`` interleaves real and imaginary
+parts, so Re(a * conj(b)) of two complex vectors is the dot product of their
+float views, and scoring one query against every entity is one
+matrix-vector product over contiguous memory. A strided ``.real`` view
+would make BLAS copy or fall back to a slower loop.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,28 +34,28 @@ from .errors import InputError
 from .triples import Vocabulary
 
 
-def complex_matrix(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """A fresh complex128 array whose parts are exactly ``re`` and ``im``."""
-    z = np.empty(np.shape(re), dtype=np.complex128)
-    z.real, z.imag = re, im
-    return z
-
-
 @dataclass(eq=False)
 class ModelParams:
-    """Embedding matrices plus the vocabulary they are indexed by.
+    """Embedding block plus the vocabulary it is indexed by.
 
+    ``ent`` and ``rel`` are the entity and relation rows of ``block``;
     ``ent_re``, ``ent_im``, ``rel_re`` and ``rel_im`` are writable views of
-    the parts of ``ent`` and ``rel``.
+    their parts.
     """
 
-    ent: np.ndarray  # (n_entities, k) complex128
-    rel: np.ndarray  # (n_relations, k) complex128
+    block: np.ndarray  # (n_entities + n_relations, k) complex128, entity rows first
     vocab: Vocabulary
+    ent: np.ndarray = field(init=False, repr=False)  # (n_entities, k) view of block
+    rel: np.ndarray = field(init=False, repr=False)  # (n_relations, k) view of block
+
+    @classmethod
+    def empty(cls, vocab: Vocabulary, k: int) -> "ModelParams":
+        """Parameters of width ``k`` over ``vocab``, not yet written."""
+        return cls(np.empty((vocab.n_entities + vocab.n_relations, k), dtype=np.complex128), vocab)
 
     @property
     def k(self) -> int:
-        return self.ent.shape[1]
+        return self.block.shape[1]
 
     @property
     def ent_re(self) -> np.ndarray:
@@ -75,14 +78,12 @@ class ModelParams:
 
     def __post_init__(self):
         n, m = self.vocab.n_entities, self.vocab.n_relations
-        for name in ("ent", "rel"):
-            z = getattr(self, name)
-            if z.dtype != np.complex128 or not z.flags.c_contiguous:
-                raise InputError(f"{name} must be a C-contiguous complex128 matrix, got {z.dtype}")
-        k = self.ent.shape[1] if self.ent.ndim == 2 else -1
-        shapes = (self.ent.shape, self.rel.shape)
-        if k < 1 or shapes != ((n, k), (m, k)):
-            raise InputError(f"inconsistent parameter shapes {shapes} for vocab ({n} entities, {m} relations)")
+        z = self.block
+        if z.dtype != np.complex128 or not z.flags.c_contiguous:
+            raise InputError(f"block must be a C-contiguous complex128 matrix, got {z.dtype}")
+        if z.ndim != 2 or z.shape[0] != n + m or z.shape[1] < 1:
+            raise InputError(f"inconsistent parameter shape {z.shape} for vocab ({n} entities, {m} relations)")
+        self.ent, self.rel = z[:n], z[n:]
 
 
 def init_model(vocab: Vocabulary, k: int, seed: int) -> ModelParams:
@@ -99,11 +100,10 @@ def init_model(vocab: Vocabulary, k: int, seed: int) -> ModelParams:
         raise InputError("cannot initialize a model over an empty vocabulary")
     bound = math.sqrt(6.0 / (2 * k))
     rng = np.random.default_rng(seed)
-    ent_re, ent_im, rel_re, rel_im = (
-        rng.uniform(-bound, bound, size=(rows, k))
-        for rows in (vocab.n_entities, vocab.n_entities, vocab.n_relations, vocab.n_relations)
-    )
-    return ModelParams(complex_matrix(ent_re, ent_im), complex_matrix(rel_re, rel_im), vocab)
+    model = ModelParams.empty(vocab, k)
+    for part in model.arrays():
+        part[...] = rng.uniform(-bound, bound, size=part.shape)
+    return model
 
 
 def complex_score(model: ModelParams, triple_indices: tuple[int, int, int]) -> float:

@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import InputError, TrainingDiverged
 from .model import ModelParams, init_model, score_triples
-from .objective import Arena, Gradients, TrainingBatch, hinge_part, regularizer_part
+from .objective import (
+    Arena, Gradients, TrainingBatch, block_slots, hinge_part, regularizer_part, touched_rows,
+)
 from .sampling import sample_corruptions
 from .triples import TripleGraph
 
@@ -123,51 +125,47 @@ class _Adam:
     ``LazyAdam``, so a row's first update is bias-corrected with the number
     of steps taken so far, not with one. Real and imaginary parts are
     separate parameters: the moments are float matrices laid out like the
-    float views of ``model.ent`` and ``model.rel``.
+    float view of ``model.block``.
     """
 
     def __init__(self, model: ModelParams, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(z.view(np.float64)) for z in (model.ent, model.rel)]
-        self.v = [np.zeros_like(z.view(np.float64)) for z in (model.ent, model.rel)]
+        self.m = np.zeros_like(model.block.view(np.float64))
+        self.v = np.zeros_like(model.block.view(np.float64))
 
     def step(self, model: ModelParams, grads: Gradients, arena: Arena | None = None) -> None:
         """One update; its temporaries are the four row buffers of ``arena``
         (or of a fresh one)."""
+        rows = grads.rows
         if arena is None:
-            arena = Arena(0, model.k, len(grads.ent_rows), len(grads.rel_rows))
+            arena = Arena(0, model.k, len(rows))
         self.t += 1
         bc2 = 1.0 - ADAM_BETA2**self.t
         scale = self.lr / (1.0 - ADAM_BETA1**self.t)
-        for param, g, rows, m, v in zip(
-            (model.ent, model.rel), (grads.ent, grads.rel), (grads.ent_rows, grads.rel_rows),
-            self.m, self.v,
-        ):
-            if len(rows) == 0:
-                continue
-            scratch, m_rows, v_rows, p_rows = (buf[: len(rows)] for buf in arena.rows)
-            g = g.view(np.float64)
-            np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
-            np.take(m, rows, axis=0, out=m_rows, mode="wrap")
-            m_rows *= ADAM_BETA1
-            m_rows += scratch  # beta1 * m + (1 - beta1) * g
-            m[rows] = m_rows
-            np.square(g, out=scratch)
-            scratch *= 1.0 - ADAM_BETA2
-            np.take(v, rows, axis=0, out=v_rows, mode="wrap")
-            v_rows *= ADAM_BETA2
-            v_rows += scratch  # beta2 * v + (1 - beta2) * g^2
-            v[rows] = v_rows
-            np.divide(v_rows, bc2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += ADAM_EPS
-            m_rows *= scale
-            m_rows /= scratch  # scale * m / (sqrt(v / bc2) + eps)
-            param = param.view(np.float64)
-            np.take(param, rows, axis=0, out=p_rows, mode="wrap")
-            p_rows -= m_rows
-            param[rows] = p_rows
+        m, v = self.m, self.v
+        scratch, m_rows, v_rows, p_rows = (buf[: len(rows)] for buf in arena.rows)
+        g = grads.values.view(np.float64)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+        np.take(m, rows, axis=0, out=m_rows, mode="wrap")
+        m_rows *= ADAM_BETA1
+        m_rows += scratch  # beta1 * m + (1 - beta1) * g
+        m[rows] = m_rows
+        np.square(g, out=scratch)
+        scratch *= 1.0 - ADAM_BETA2
+        np.take(v, rows, axis=0, out=v_rows, mode="wrap")
+        v_rows *= ADAM_BETA2
+        v_rows += scratch  # beta2 * v + (1 - beta2) * g^2
+        v[rows] = v_rows
+        np.divide(v_rows, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        m_rows *= scale
+        m_rows /= scratch  # scale * m / (sqrt(v / bc2) + eps)
+        param = model.block.view(np.float64)
+        np.take(param, rows, axis=0, out=p_rows, mode="wrap")
+        p_rows -= m_rows
+        param[rows] = p_rows
 
 
 def loss_and_grad(
@@ -179,30 +177,33 @@ def loss_and_grad(
     ``grads`` trains (the others add a constant). Both parts take their
     scratch from ``arena``, or from fresh ones."""
     loss = hinge_part(model, batch, hp.margin, grads, arena)
-    ent_rows, rel_rows = batch.touched_rows() if grads is None else (grads.ent_rows, grads.rel_rows)
+    if grads is None:
+        _, rows, n_ent = touched_rows(block_slots(batch, model.vocab), model)
+        ent_rows, rel_rows = rows[:n_ent], rows[n_ent:]
+    else:
+        ent_rows, rel_rows = grads.ent_rows, grads.rel_rows
     loss += regularizer_part(model, ent_rows, rel_rows, hp.reg_p, hp.reg_lambda, grads, arena)
     return loss
 
 
-def _fold_in(
-    graph: TripleGraph, hp: Hyperparams, base: ModelParams
-) -> tuple[ModelParams, np.ndarray, np.ndarray]:
+def _fold_in(graph: TripleGraph, hp: Hyperparams, base: ModelParams) -> tuple[ModelParams, np.ndarray]:
     """Fresh init for the graph's vocabulary with every row ``base`` names
-    copied from it, and masks of the entity and relation rows it lacks."""
+    copied from it, and a mask of the block rows it lacks."""
     if base.k != hp.k:
         raise InputError(f"warm start dimension {base.k} does not match configured k {hp.k}")
     model = init_model(graph.vocab, hp.k, hp.seed)
-    fresh = []
+    shared = []
     for ours, theirs, dst, src in (
         (graph.vocab.entities, base.vocab.entity_index, model.ent, base.ent),
         (graph.vocab.relations, base.vocab.relation_index, model.rel, base.rel),
     ):
-        shared = np.array([name in theirs for name in ours], dtype=bool)
-        dst[shared] = src[[theirs[name] for name in ours if name in theirs]]
-        fresh.append(~shared)
-    if not (fresh[0].any() or fresh[1].any()):
+        known = np.array([name in theirs for name in ours], dtype=bool)
+        dst[known] = src[[theirs[name] for name in ours if name in theirs]]
+        shared.append(known)
+    fresh = ~np.concatenate(shared)
+    if not fresh.any():
         raise InputError("base model covers every row: nothing to train")
-    return model, fresh[0], fresh[1]
+    return model, fresh
 
 
 def train(
@@ -221,16 +222,16 @@ def train(
     if len(graph) == 0:
         raise InputError("cannot train on an empty graph")
     idx, weights = graph.index_arrays()
+    n = graph.vocab.n_entities
     if base is None:
         model = init_model(graph.vocab, hp.k, hp.seed)
         trainable = None
-        n_ent, n_rel = model.vocab.n_entities, model.vocab.n_relations
+        n_ent, n_rel = n, model.vocab.n_relations
     else:
-        model, ent, rel = _fold_in(graph, hp, base)
-        touches = ent[idx[:, 0]] | rel[idx[:, 1]] | ent[idx[:, 2]]
+        model, trainable = _fold_in(graph, hp, base)
+        touches = trainable[idx[:, 0]] | trainable[n + idx[:, 1]] | trainable[idx[:, 2]]
         idx, weights = idx[touches], weights[touches]
-        trainable = (ent, rel)
-        n_ent, n_rel = np.count_nonzero(ent), np.count_nonzero(rel)
+        n_ent, n_rel = np.count_nonzero(trainable[:n]), np.count_nonzero(trainable[n:])
 
     rng = np.random.default_rng((hp.seed, 1))
     adam = _Adam(model, hp.learning_rate)

@@ -11,26 +11,39 @@ import random
 import numpy as np
 
 from qakge.model import ModelParams, init_model, score_triples
-from qakge.objective import Gradients, TrainingBatch, focuse_modulate, int_power, sigmoid
+from qakge.objective import Gradients, TrainingBatch, focuse_alpha, int_power, sigmoid, softplus
 from qakge.training import loss_and_grad
 from qakge.triples import TripleGraph, Vocabulary, WeightedTriple
 
 GRAD_NAMES = ("ent_re", "ent_im", "rel_re", "rel_im")
 
 
-def gradient_parts(grads: Gradients) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(parameter rows, gradient view) for each of ``GRAD_NAMES``."""
-    return ((grads.ent_rows, grads.ent.real), (grads.ent_rows, grads.ent.imag),
-            (grads.rel_rows, grads.rel.real), (grads.rel_rows, grads.rel.imag))
+def modulated(raw, weight, beta, is_positive: bool):
+    """FocusE-modulated score alpha * softplus(raw)."""
+    return focuse_alpha(np.asarray(weight, dtype=np.float64), beta, is_positive) * softplus(raw)
+
+
+def touched_ids(batch: TrainingBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Unique entity and relation ids the batch references."""
+    ent = np.concatenate([batch.pos[:, 0], batch.pos[:, 2], batch.neg[:, 0], batch.neg[:, 2]])
+    return np.unique(ent), np.unique(np.concatenate([batch.pos[:, 1], batch.neg[:, 1]]))
+
+
+def gradient_parts(model: ModelParams, grads: Gradients) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(parameter rows, gradient view) for each of ``GRAD_NAMES``; relation
+    rows are relation ids, not block rows."""
+    ent, rel = grads.values[: grads.n_ent], grads.values[grads.n_ent:]
+    ent_rows, rel_rows = grads.ent_rows, grads.rel_rows - model.vocab.n_entities
+    return ((ent_rows, ent.real), (ent_rows, ent.imag), (rel_rows, rel.real), (rel_rows, rel.imag))
 
 
 def dense_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, np.ndarray]:
     """Analytic gradient of the training loss, expanded from the compact
-    buffers into dense arrays that are zero outside the touched rows."""
+    buffer into dense arrays that are zero outside the touched rows."""
     grads = Gradients.for_batch(batch, model)
     loss_and_grad(model, batch, hp, grads)
     out = {}
-    for name, param, (rows, g) in zip(GRAD_NAMES, model.arrays(), gradient_parts(grads)):
+    for name, param, (rows, g) in zip(GRAD_NAMES, model.arrays(), gradient_parts(model, grads)):
         out[name] = np.zeros_like(param)
         out[name][rows] = g
     return out
@@ -47,8 +60,8 @@ def add_at_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, 
     out = {name: np.zeros_like(a) for name, a in zip(GRAD_NAMES, model.arrays())}
     beta = batch.beta
     w_neg = np.repeat(batch.pos_weights, batch.eta)
-    g_pos = focuse_modulate(score_triples(model, batch.pos), batch.pos_weights, beta, True)
-    g_neg = focuse_modulate(score_triples(model, batch.neg), w_neg, beta, False)
+    g_pos = modulated(score_triples(model, batch.pos), batch.pos_weights, beta, True)
+    g_neg = modulated(score_triples(model, batch.neg), w_neg, beta, False)
     b = batch.pos.shape[0]
     active = hp.margin + g_neg.reshape(b, batch.eta) - g_pos[:, None] > 0.0
     alpha_pos = beta + (1.0 - beta) * batch.pos_weights
@@ -65,7 +78,7 @@ def add_at_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, 
             np.add.at(out[side + "_re"], rows, c * grad.real)
             np.add.at(out[side + "_im"], rows, c * grad.imag)
     if hp.reg_lambda != 0.0:
-        ent_rows, rel_rows = batch.touched_rows()
+        ent_rows, rel_rows = touched_ids(batch)
         lam, q = hp.reg_lambda, hp.reg_p
         for name, rows in zip(GRAD_NAMES, (ent_rows, ent_rows, rel_rows, rel_rows)):
             x = getattr(model, name)[rows]
@@ -76,7 +89,7 @@ def add_at_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, 
 
 def fd_gradients(model: ModelParams, batch: TrainingBatch, hp, h: float = 1e-6) -> dict[str, np.ndarray]:
     """Central finite differences of the training loss, touched rows only."""
-    ent_rows, rel_rows = batch.touched_rows()
+    ent_rows, rel_rows = touched_ids(batch)
     out = {
         "ent_re": np.zeros_like(model.ent_re),
         "ent_im": np.zeros_like(model.ent_im),

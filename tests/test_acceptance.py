@@ -30,13 +30,14 @@ from qakge import (
     triples_to_context,
 )
 from qakge.model import init_model
-from qakge.objective import TrainingBatch, focuse_modulate
+from qakge.objective import TrainingBatch
 from qakge.triples import TripleGraph, WeightedTriple
 
 from .helpers import (
     dense_gradients,
     fd_gradients,
     max_relative_error,
+    modulated,
     oracle_rank,
     random_batch,
     random_model,
@@ -130,7 +131,7 @@ def test_weight_modulation_contract():
     started = time.time()
     # 1. modulated scores can never go negative
     raw = np.linspace(-40.0, 40.0, 2001)
-    floor = min(float(focuse_modulate(raw, w, b, pos).min())
+    floor = min(float(modulated(raw, w, b, pos).min())
                 for w in (0.0, 0.3, 1.0) for b in (0.0, 0.5, 1.0) for pos in (True, False))
 
     # 2. with beta pinned at 1 the first-epoch trajectory ignores weights
@@ -157,7 +158,7 @@ def test_weight_modulation_contract():
         beta=0.0,
     )
     from qakge.model import score_triples
-    g_pos = focuse_modulate(score_triples(model, batch.pos), 0.0, 0.0, True)
+    g_pos = modulated(score_triples(model, batch.pos), 0.0, 0.0, True)
     grads = dense_gradients(model, batch, Hyperparams(k=4, reg_lambda=0.0))
     silent = (float(np.abs(g_pos).max()) == 0.0
               and np.all(grads["ent_re"][0] == 0.0) and np.all(grads["ent_im"][0] == 0.0)

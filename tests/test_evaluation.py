@@ -16,7 +16,7 @@ def crafted_model(ent_values: list[float]) -> ModelParams:
     names = [chr(ord("a") + i) for i in range(len(ent_values))]
     vocab = Vocabulary.from_names(names, ["r"])
     col = np.asarray(ent_values, dtype=np.complex128).reshape(-1, 1)
-    return ModelParams(col, np.ones((1, 1), dtype=np.complex128), vocab)
+    return ModelParams(np.concatenate([col, np.ones((1, 1), dtype=np.complex128)]), vocab)
 
 
 def object_rank(model: ModelParams, triple, known=(), protocol: str = "raw") -> int:

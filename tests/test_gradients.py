@@ -14,6 +14,7 @@ from .helpers import (
     random_batch,
     random_model,
     small_vocab,
+    touched_ids,
 )
 
 
@@ -63,10 +64,10 @@ def test_compact_gradients_equal_add_at_oracle_bit_for_bit():
         grads = Gradients.for_batch(batch, model)
         loss_and_grad(model, batch, hp, grads)
         oracle = add_at_gradients(model, batch, hp)
-        ent_rows, rel_rows = batch.touched_rows()
+        ent_rows, rel_rows = touched_ids(batch)
         assert np.array_equal(grads.ent_rows, ent_rows)
-        assert np.array_equal(grads.rel_rows, rel_rows)
-        for name, (rows, g) in zip(GRAD_NAMES, gradient_parts(grads)):
+        assert np.array_equal(grads.rel_rows, rel_rows + model.vocab.n_entities)
+        for name, (rows, g) in zip(GRAD_NAMES, gradient_parts(model, grads)):
             assert (g == oracle[name][rows]).all(), name
             outside = np.ones(len(oracle[name]), dtype=bool)
             outside[rows] = False

@@ -11,7 +11,11 @@ from qakge.model import (
     score_triples,
 )
 
-from .helpers import random_model, score_py, small_vocab
+from qakge.checkpoint import load_checkpoint, save_checkpoint
+from qakge.training import Hyperparams, train
+from qakge.triples import Vocabulary
+
+from .helpers import random_model, score_py, small_vocab, toy_graph
 
 
 def test_init_shapes_bounds_determinism():
@@ -35,12 +39,29 @@ def test_init_shapes_bounds_determinism():
 def test_params_shape_validation():
     vocab = small_vocab(3, 2)
     good = init_model(vocab, 4, 0)
-    with pytest.raises(InputError, match="shapes"):
-        ModelParams(good.ent[:2], good.rel, vocab)
+    with pytest.raises(InputError, match="shape"):
+        ModelParams(good.block[:4], vocab)
     with pytest.raises(InputError, match="complex128"):
-        ModelParams(good.ent_re.copy(), good.rel, vocab)
+        ModelParams(good.block.real.copy(), vocab)
     with pytest.raises(InputError, match="complex128"):
-        ModelParams(good.ent[:, ::2], good.rel[:, ::2], vocab)  # strided, no float view
+        ModelParams(good.block[:, ::2], vocab)  # strided, no float view
+
+
+def test_entity_and_relation_rows_are_views_of_one_block(tmp_path):
+    graph = toy_graph()
+    sub = Vocabulary.from_names(graph.vocab.entities[2:], graph.vocab.relations[1:])
+    base = init_model(sub, 4, seed=1)
+    save_checkpoint(base, tmp_path / "base.qkge")
+    folded, _ = train(graph, Hyperparams(k=4, epochs=1, seed=2), base=base)
+    for model in (base, load_checkpoint(tmp_path / "base.qkge"), folded):
+        n, m = model.vocab.n_entities, model.vocab.n_relations
+        assert model.block.dtype == np.complex128 and model.block.shape == (n + m, 4)
+        assert model.block.flags.c_contiguous
+        assert model.ent.flags.c_contiguous and model.rel.flags.c_contiguous
+        model.ent_re[n - 1, 0] = 7.0
+        model.rel_im[0, 3] = -3.0
+        assert model.block[n - 1, 0] == model.ent[n - 1, 0] == 7.0 + 1j * model.ent_im[n - 1, 0]
+        assert model.block[n, 3] == model.rel[0, 3] == model.rel_re[0, 3] - 3.0j
 
 
 def test_score_matches_python_complex_arithmetic(model8):

@@ -10,16 +10,17 @@ from qakge.model import init_model
 from qakge.objective import (
     Gradients,
     TrainingBatch,
-    focuse_modulate,
+    block_slots,
     hinge_part,
     int_power,
     regularizer_part,
     sigmoid,
     softplus,
+    touched_rows,
 )
 from qakge.training import Hyperparams, loss_and_grad
 
-from .helpers import random_batch, small_vocab
+from .helpers import modulated, random_batch, small_vocab
 
 
 def _zero_model(n_entities: int, k: int):
@@ -53,16 +54,15 @@ def _hinge(g_pos, g_neg, margin: float) -> float:
 
 
 def _penalty(row, p: int, lam: float) -> float:
-    """regularizer_part with entity row 0 and relation row 0 touched; the
-    four matrices hold ``row`` = (ent_re, ent_im, rel_re, rel_im) there,
-    and the untouched entity row 1 holds 100 everywhere."""
+    """regularizer_part with entity row 0 and relation row 0 (block row 2)
+    touched; the four matrices hold ``row`` = (ent_re, ent_im, rel_re,
+    rel_im) there, and the untouched entity row 1 holds 100 everywhere."""
     k = len(row[0])
     model = _zero_model(2, k)
     for arr, values in zip(model.arrays(), row):
         arr[0] = values
     model.ent_re[1] = model.ent_im[1] = 100.0
-    touched = np.array([0])
-    return regularizer_part(model, touched, touched, p, lam)
+    return regularizer_part(model, np.array([0]), np.array([2]), p, lam)
 
 
 def test_softplus_values_and_stability():
@@ -81,23 +81,26 @@ def test_sigmoid_stability():
 
 def test_modulation_worked_examples():
     # full structural influence: weights invisible, g = softplus(f)
-    assert focuse_modulate(0.0, 0.3, 1.0, True) == pytest.approx(math.log(2.0), abs=1e-15)
-    assert focuse_modulate(0.0, 0.9, 1.0, False) == pytest.approx(math.log(2.0), abs=1e-15)
+    assert modulated(0.0, 0.3, 1.0, True) == pytest.approx(math.log(2.0), abs=1e-15)
+    assert modulated(0.0, 0.9, 1.0, False) == pytest.approx(math.log(2.0), abs=1e-15)
     # fully annealed, zero-weight positive contributes exactly nothing
-    assert focuse_modulate(5.0, 0.0, 0.0, True) == 0.0
+    assert modulated(5.0, 0.0, 0.0, True) == 0.0
     # ... while its corruptions keep full influence
-    assert focuse_modulate(5.0, 0.0, 0.0, False) == pytest.approx(softplus(5.0), rel=1e-12)
+    assert modulated(5.0, 0.0, 0.0, False) == pytest.approx(softplus(5.0), rel=1e-12)
     # mixed: alpha = 0.9 + 0.1 * 0 = 0.9 for a zero-weight positive
-    assert focuse_modulate(1.0, 0.0, 0.9, True) == pytest.approx(
+    assert modulated(1.0, 0.0, 0.9, True) == pytest.approx(
         0.9 * math.log(1.0 + math.e), rel=1e-12
     )
 
 
 def test_modulation_validates_domains():
-    with pytest.raises(InputError):
-        focuse_modulate(0.0, 1.5, 0.5, True)
-    with pytest.raises(InputError):
-        focuse_modulate(0.0, 0.5, -0.1, True)
+    pos = np.array([[0, 0, 1]], dtype=np.int64)
+    with pytest.raises(InputError, match="weights"):
+        TrainingBatch(np.repeat(pos, 2, axis=0), np.array([0.5, 1.5]), np.repeat(pos, 2, axis=0), 1, 0.5)
+    with pytest.raises(InputError, match="weights"):
+        TrainingBatch(pos, np.array([-0.1]), pos, 1, 0.5)
+    with pytest.raises(InputError, match="beta"):
+        TrainingBatch(pos, np.array([0.5]), pos, 1, -0.1)
 
 
 @given(
@@ -108,7 +111,7 @@ def test_modulation_validates_domains():
 )
 @settings(max_examples=200, deadline=None)
 def test_modulated_scores_never_negative(raw, w, beta, positive):
-    assert focuse_modulate(raw, w, beta, positive) >= 0.0
+    assert modulated(raw, w, beta, positive) >= 0.0
 
 
 @given(
@@ -121,8 +124,8 @@ def test_modulated_scores_never_negative(raw, w, beta, positive):
 def test_modulation_monotone_in_weight(raw, beta, w_low, w_high):
     lo, hi = sorted((w_low, w_high))
     # heavier positives score at least as high, heavier negatives at most
-    assert focuse_modulate(raw, hi, beta, True) >= focuse_modulate(raw, lo, beta, True)
-    assert focuse_modulate(raw, hi, beta, False) <= focuse_modulate(raw, lo, beta, False)
+    assert modulated(raw, hi, beta, True) >= modulated(raw, lo, beta, True)
+    assert modulated(raw, hi, beta, False) <= modulated(raw, lo, beta, False)
 
 
 def test_pairwise_hinge_worked_example():
@@ -166,11 +169,10 @@ def test_regularizer_part_low_powers_at_zero_and_negative_values():
             arr[0] = values
         pos = np.array([[0, 0, 0]], dtype=np.int64)
         grads = Gradients.for_batch(TrainingBatch(pos, np.ones(1), pos, 1, 1.0), model)
-        touched = np.array([0])
-        assert regularizer_part(model, touched, touched, p, lam, grads) == loss, p
-        assert grads.ent.real.tolist() == [d_re], p
-        assert grads.ent.imag.tolist() == [d_im], p
-        assert (grads.rel == 0.0).all(), p
+        assert regularizer_part(model, np.array([0]), np.array([2]), p, lam, grads) == loss, p
+        assert grads.values[:1].real.tolist() == [d_re], p
+        assert grads.values[:1].imag.tolist() == [d_im], p
+        assert (grads.values[1:] == 0.0).all(), p
 
 
 def test_int_power_worked_examples():
@@ -195,21 +197,26 @@ def test_training_batch_validation():
     with pytest.raises(InputError):  # weight shape mismatch
         TrainingBatch(pos, np.array([0.5, 0.5]), np.zeros((2, 3), dtype=np.int64), 2, 0.5)
     b = TrainingBatch(pos, np.array([0.5]), np.array([[0, 0, 2], [3, 0, 1]], dtype=np.int64), 2, 0.5)
-    ent_rows, rel_rows = b.touched_rows()
-    assert list(ent_rows) == [0, 1, 2, 3]
-    assert list(rel_rows) == [0]
+    model = init_model(small_vocab(4, 1), 2, seed=0)
+    slots = block_slots(b, model.vocab)
+    assert slots.tolist() == [0, 0, 3, 4, 4, 4, 1, 2, 1]  # subjects, relations, objects
+    _, rows, n_ent = touched_rows(slots, model)
+    assert rows.tolist() == [0, 1, 2, 3, 4] and n_ent == 4  # relation 0 is block row 4
 
 
 def test_out_of_range_ids_raise_index_error(model8):
-    hp = Hyperparams(k=4, reg_lambda=1e-3)
-    for bad in ([[0, 0, 8]], [[-1, 0, 1]], [[0, 3, 1]], [[0, -1, 1]]):
-        pos = np.array(bad, dtype=np.int64)
-        batch = TrainingBatch(pos, np.ones(1), np.array([[2, 0, 1]]), 1, 0.5)
+    # 8 entities and 3 relations: entity 8 would be the first relation's
+    # block row, relation 3 one past the block
+    good_pos, good_neg = [[0, 0, 1]], [[2, 0, 1]]
+    cases = [(bad, good_neg) for bad in ([[0, 0, 8]], [[-1, 0, 1]], [[0, 3, 1]], [[0, -1, 1]])]
+    cases += [(good_pos, bad) for bad in ([[8, 0, 1]], [[2, 0, -1]], [[2, 3, 1]])]
+    for pos, neg in cases:
+        batch = TrainingBatch(np.array(pos), np.ones(1), np.array(neg), 1, 0.5)
         with pytest.raises(IndexError):
             Gradients.for_batch(batch, model8)
-    batch = TrainingBatch(np.array([[0, 0, 8]]), np.ones(1), np.array([[2, 0, 1]]), 1, 0.5)
-    with pytest.raises(IndexError):
-        loss_and_grad(model8, batch, hp)
+        for lam in (1e-3, 0.0):  # the loss alone, with and without the penalty
+            with pytest.raises(IndexError):
+                loss_and_grad(model8, batch, Hyperparams(k=4, reg_lambda=lam))
 
 
 def test_loss_and_grad_is_finite_and_deterministic(model8):
@@ -230,4 +237,4 @@ def test_loss_is_the_same_with_and_without_gradients(model8):
             grads = Gradients.for_batch(batch, model8)
             with_grads = loss_and_grad(model8, batch, hp, grads)
             assert with_grads == loss_and_grad(model8, batch, hp)
-            assert np.abs(grads.ent).max() > 0.0 or np.abs(grads.rel).max() > 0.0
+            assert np.abs(grads.values).max() > 0.0

@@ -38,7 +38,7 @@ def k1_model(values: dict[str, float], relations: list[str]) -> ModelParams:
     names = sorted(values)
     vocab = Vocabulary.from_names(names, relations)
     col = np.array([[values[n]] for n in vocab.entities], dtype=np.complex128)
-    return ModelParams(col, np.ones((len(relations), 1), dtype=np.complex128), vocab)
+    return ModelParams(np.concatenate([col, np.ones((len(relations), 1), dtype=np.complex128)]), vocab)
 
 
 def test_calibrate_weight_worked_examples():

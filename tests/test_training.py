@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from qakge.errors import InputError, TrainingDiverged
-from qakge.model import init_model
+from qakge.model import ModelParams, init_model
 from qakge.objective import Gradients, TrainingBatch, regularizer_part
 from qakge.contexts import from_json_object
 from qakge import training
 from qakge.training import Hyperparams, beta_value, loss_and_grad, train
 from qakge.triples import Vocabulary
 
-from .helpers import gradient_parts, toy_graph
+from .helpers import gradient_parts, toy_graph, touched_ids
 
 SMALL = Hyperparams(k=6, eta=2, batch_size=16, learning_rate=1e-3, epochs=4, seed=3)
 
@@ -150,7 +150,8 @@ def test_fold_in_gradients_hold_no_frozen_row(monkeypatch):
     seen = []
 
     def spy(model, batch, hp, grads=None, arena=None):
-        seen.append((grads.ent_rows.copy(), grads.rel_rows.copy(), batch.touched_rows()))
+        rel_ids = grads.rel_rows - model.vocab.n_entities
+        seen.append((grads.ent_rows.copy(), rel_ids, touched_ids(batch)))
         return loss_and_grad(model, batch, hp, grads, arena)
 
     monkeypatch.setattr(training, "loss_and_grad", spy)
@@ -170,12 +171,13 @@ def test_fold_in_with_every_relation_frozen_skips_the_relation_terms(monkeypatch
 
     def spy(model, batch, hp, grads=None, arena=None):
         loss = loss_and_grad(model, batch, hp, grads, arena)
-        live = Gradients.for_batch(batch, model, (fresh, np.ones(graph.vocab.n_relations, bool)))
+        live = Gradients.for_batch(
+            batch, model, np.concatenate([fresh, np.ones(graph.vocab.n_relations, bool)]))
         loss_and_grad(model, batch, hp, live)
-        assert grads.rel.shape == (0, hp.k) and len(grads.rel_rows) == 0
+        assert grads.values.shape == (grads.n_ent, hp.k) and len(grads.rel_rows) == 0
         assert np.array_equal(grads.ent_rows, live.ent_rows)
-        assert (grads.ent == live.ent).all()
-        checked.append(bool(np.abs(live.rel).max() > 0.0))
+        assert (grads.values == live.values[: live.n_ent]).all()
+        checked.append(bool(np.abs(live.values[live.n_ent:]).max() > 0.0))
         return loss
 
     monkeypatch.setattr(training, "loss_and_grad", spy)
@@ -189,13 +191,13 @@ def _poisoned(monkeypatch):
     read before it is written turns the parameters into NaN."""
 
     def poison(arena, *views):
-        for view in (arena.first, arena.second, arena.cells, *arena.rows, *views):
+        for view in (arena.gather, arena.terms, arena.cells, *arena.rows, *views):
             view.view(np.float64)[...] = np.nan
 
     class PoisonedGradients(Gradients):
         @classmethod
         def for_batch(cls, batch, model, trainable=None, arena=None):
-            poison(arena, arena.ent, arena.rel)
+            poison(arena, arena.grads)
             return Gradients.for_batch(batch, model, trainable, arena)
 
     def penalty(model, ent_rows, rel_rows, p, lam, grads=None, arena=None):
@@ -235,21 +237,22 @@ def test_adam_step_leaves_untouched_rows_and_corrects_with_the_global_count():
     def step(pos, neg):
         batch = TrainingBatch(np.array(pos), np.ones(len(pos)), np.array(neg), 1, 1.0)
         grads = Gradients.for_batch(batch, model)
-        for _, g in gradient_parts(grads):
+        for _, g in gradient_parts(model, grads):
             g[:] = rng.normal(size=g.shape)
         adam.step(model, grads)
         return grads
 
     step([[0, 0, 1]], [[0, 0, 2]])  # entities 0-2 and relation 0
-    before = [a.copy() for a in (*model.arrays(), *adam.m, *adam.v)]
+    before = [a.copy() for a in (model.block, adam.m, adam.v)]
     grads = step([[3, 1, 1]], [[3, 1, 2]])  # entity 3 and relation 1 start at t = 2
-    after = (*model.arrays(), *adam.m, *adam.v)
-    for old, new in zip(before, after):
-        untouched = [0, 4] if len(old) == 5 else [0]  # entity rows, else relation rows
+    assert adam.m.shape == adam.v.shape == model.block.view(np.float64).shape
+    for old, new in zip(before, (model.block, adam.m, adam.v)):
+        untouched = [0, 4, 5]  # entities 0 and 4, and relation 0 in block row 5
         assert (old[untouched] == new[untouched]).all()
 
     t, b1, b2, eps = 2, training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
-    for start, param, (rows, g) in zip(before[:4], model.arrays(), gradient_parts(grads)):
+    start_parts = ModelParams(before[0], model.vocab).arrays()
+    for start, param, (rows, g) in zip(start_parts, model.arrays(), gradient_parts(model, grads)):
         fresh = list(rows).index(3 if param.shape[0] == 5 else 1)
         m_hat = (1 - b1) * g[fresh] / (1 - b1**t)
         v_hat = (1 - b2) * g[fresh] ** 2 / (1 - b2**t)
