@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -83,45 +84,50 @@ def generate_walks(
     Each start node gets its own generator keyed by (seed, node id), so the
     output is independent of how many other nodes exist. Isolated nodes
     yield length-1 walks. Walks from one node are consecutive in the result.
+
+    The transition out of each (previous, current) pair is computed once
+    per call, by :func:`transition_probs`, and kept as its candidates and
+    cumulative probabilities. A step is then one uniform draw and a binary
+    search for the first cumulative probability that is not below it.
     """
     if walks_per_node < 1 or walk_length < 1:
         raise InputError("walks_per_node and walk_length must be >= 1")
     adj = AdjacencyStructure.from_graph(graph)
+    transitions: dict[tuple[int | None, int], tuple[list[int], list[float]]] = {}
     walks: list[np.ndarray] = []
     for node in range(len(adj.names)):
         rng = np.random.default_rng((seed, node))
         for _ in range(walks_per_node):
-            walk = np.empty(walk_length, dtype=np.int64)
-            walk[0] = node
+            walk = [node]
             prev: int | None = None
-            length = 1
-            for step in range(1, walk_length):
-                cur = walk[step - 1]
-                cand, probs = transition_probs(adj, prev, int(cur), p, q)
-                if cand.size == 0:
+            cur = node
+            for _ in range(1, walk_length):
+                key = (prev, cur)
+                if key not in transitions:
+                    cand, probs = transition_probs(adj, prev, cur, p, q)
+                    transitions[key] = (cand.tolist(), np.cumsum(probs).tolist())
+                cand, cdf = transitions[key]
+                if not cand:
                     break  # dead end (isolated node)
-                u = rng.random()
                 # clip guards the case where the cumsum tops out just below 1.0
-                pick = min(int(np.searchsorted(np.cumsum(probs), u)), cand.size - 1)
-                walk[step] = cand[pick]
-                prev = int(cur)
-                length = step + 1
-            walks.append(walk[:length])
+                pick = min(bisect_left(cdf, rng.random()), len(cand) - 1)
+                prev, cur = cur, cand[pick]
+                walk.append(cur)
+            walks.append(np.array(walk, dtype=np.int64))
     return walks
 
 
 def window_pairs(walk: np.ndarray, window: int) -> np.ndarray:
-    """All (center, context) id pairs within ``window`` positions, in order."""
+    """All (center, context) id pairs within ``window`` positions, in order:
+    by center, then by context position."""
     if window < 1:
         raise InputError(f"window must be >= 1, got {window}")
-    pairs: list[tuple[int, int]] = []
     n = walk.shape[0]
-    for i in range(n):
-        lo, hi = max(0, i - window), min(n, i + window + 1)
-        for j in range(lo, hi):
-            if j != i:
-                pairs.append((int(walk[i]), int(walk[j])))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    centers = np.repeat(np.arange(n), 2 * window)
+    contexts = centers + np.tile(offsets, n)
+    inside = (contexts >= 0) & (contexts < n)
+    return walk[np.stack((centers, contexts), axis=1)[inside]].astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -154,8 +160,9 @@ def train_skipgram(
 
     Noise distribution is the unigram frequency of walk tokens raised to
     0.75. Updates are applied in fixed-size batches, summed per row by
-    ``scatter_rows``, so repeated rows accumulate deterministically. The
-    learning rate decays linearly to a floor of 1e-4 of its start value.
+    ``scatter_rows`` through one cell table per call, so repeated rows
+    accumulate deterministically. The learning rate decays linearly to a
+    floor of 1e-4 of its start value.
     """
     if d < 1 or negatives < 1 or epochs < 1:
         raise InputError("d, negatives and epochs must all be >= 1")
@@ -176,6 +183,7 @@ def train_skipgram(
     rng = np.random.default_rng((seed, 7))
     w_in = (rng.random((n, d)) - 0.5) / d
     w_out = np.zeros((n, d))
+    table = np.arange(n * d).reshape(n, d)  # row i: the flat cells of row i
 
     batch = 256
     total_steps = epochs * ((pairs.shape[0] + batch - 1) // batch)
@@ -201,9 +209,9 @@ def train_skipgram(
             grad_c += np.einsum("bk,bkd->bd", g_neg, u_neg)
             d_neg = g_neg[:, :, None] * vc[:, None, :]
 
-            w_in += scatter_rows(centers, -alpha * grad_c, n)
+            w_in += scatter_rows(centers, -alpha * grad_c, n, table)
             w_out += scatter_rows(np.concatenate([contexts, neg.reshape(-1)]),
-                                  -alpha * np.concatenate([d_pos, d_neg.reshape(-1, d)]), n)
+                                  -alpha * np.concatenate([d_pos, d_neg.reshape(-1, d)]), n, table)
             step += 1
     return NodeEmbeddings(names, {name: i for i, name in enumerate(names)}, w_in)
 

@@ -120,20 +120,27 @@ def touched_rows(slots: np.ndarray, model: ModelParams, trainable: np.ndarray | 
 
 
 def scatter_rows(
-    at: np.ndarray, values: np.ndarray, n_rows: int, cells: np.ndarray | None = None
+    at: np.ndarray, values: np.ndarray, n_rows: int, table: np.ndarray,
+    cells: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sum of the rows of ``values`` grouped by target row ``at``, each in
-    [0, n_rows), as an (n_rows, k) array. ``cells``, an int64 array of the
-    shape of ``values``, receives the flat cell indices (a new array when
-    None).
+    [0, n_rows), as an (n_rows, k) array. Row i of ``table`` holds the flat
+    cell indices ``i * k + arange(k)``, for at least ``n_rows`` rows.
+    ``cells``, an int64 array of the shape of ``values``, receives the cell
+    index of every value (a new array when None).
 
-    One flat ``np.bincount`` adds, in each cell, the values in the order
-    they come, as ``np.add.at`` would, at a fraction of its cost.
+    The cells are one ``take`` of table rows, and one flat ``np.bincount``
+    adds, in each cell, the values in the order they come, as
+    ``np.add.at`` would, at a fraction of its cost. A target row outside
+    [0, n_rows) raises IndexError, checked here because the take would
+    silently wrap it.
     """
-    k = values.shape[1]
-    cells = np.add(at[:, None] * k, np.arange(k), out=cells)
-    summed = np.bincount(cells.ravel(), weights=values.ravel(), minlength=n_rows * k)
-    return summed.reshape(n_rows, k)
+    limit = min(n_rows, len(table))
+    if at.size and (at.min() < 0 or at.max() >= limit):
+        raise IndexError(f"scatter target rows span [{at.min()}, {at.max()}], outside [0, {limit})")
+    cells = np.take(table, at, axis=0, out=cells, mode="wrap")
+    summed = np.bincount(cells.ravel(), weights=values.ravel(), minlength=n_rows * table.shape[1])
+    return summed.reshape(n_rows, table.shape[1])
 
 
 class Arena:
@@ -147,9 +154,10 @@ class Arena:
     again, hundreds of page faults a batch; the arena's pages are touched
     once, on first use, and unmapped when the last view of it dies.
 
-    ``grads`` holds a step's gradients. The rest is one region that the
-    hinge, the penalty and Adam carve up in turn, since none of their
-    temporaries outlives its phase:
+    ``grads`` holds a step's gradients and ``table`` the cell table of
+    ``scatter_rows`` for ``rows`` rows of 2k floats, written once. The rest
+    is one region that the hinge, the penalty and Adam carve up in turn,
+    since none of their temporaries outlives its phase:
 
     - hinge: ``gather``, the subject, relation and object rows of every
       triple, and later the kept gradient terms; ``terms``, the subject,
@@ -157,22 +165,47 @@ class Arena:
       ``cells``, the int64 cell indices of the kept terms for
       ``scatter_rows``;
     - penalty and Adam: ``rows``, four (rows, 2k) float matrices.
+
+    It also keeps the scatter order of each batch size the hinge has seen
+    (:meth:`_scatter_order`).
     """
 
     def __init__(self, triples: int, k: int, rows: int):
         slots = 3 * triples
         row = 16 * k  # bytes of a complex row, its float view or its int64 cells
-        size = (rows + max(2 * slots, 4 * rows)) * row
+        size = (2 * rows + max(2 * slots, 4 * rows)) * row
         memory = np.frombuffer(mmap.mmap(-1, max(size, 1)), dtype=np.uint8)
 
         def carve(start: int, n: int, dtype, width: int) -> np.ndarray:
             return memory[start * row:(start + n) * row].view(dtype).reshape(n, width)
 
         self.grads = carve(0, rows, np.complex128, k)
-        self.gather = carve(rows, slots, np.complex128, k)
-        self.terms = carve(rows + slots, slots, np.complex128, k)
-        self.cells = carve(rows + slots, slots, np.int64, 2 * k)
-        self.rows = [carve(rows + i * rows, rows, np.float64, 2 * k) for i in range(4)]
+        self.table = carve(rows, rows, np.int64, 2 * k)
+        self.table[:] = np.arange(2 * k)
+        self.table += np.arange(0, rows * 2 * k, 2 * k)[:, None]
+        scratch = 2 * rows
+        self.gather = carve(scratch, slots, np.complex128, k)
+        self.terms = carve(scratch + slots, slots, np.complex128, k)
+        self.cells = carve(scratch + slots, slots, np.int64, 2 * k)
+        self.rows = [carve(scratch + i * rows, rows, np.float64, 2 * k) for i in range(4)]
+        self._orders: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def _scatter_order(self, b: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Index into :func:`block_slots` of ``t`` triples, the first ``b``
+        of them positives, of every slot in the order its term is
+        scattered, and the triple of each such slot.
+
+        The order is subjects of positives, objects of positives, subjects
+        of corruptions, objects of corruptions, then the relations. Each
+        buffer cell adds its terms in this order, as ``np.add.at`` over the
+        four parts one after another would, so the sums match it bit for
+        bit."""
+        if (b, t) not in self._orders:
+            slot = np.arange(3 * t)
+            order = np.concatenate((slot[:b], slot[2 * t:2 * t + b], slot[b:t], slot[2 * t + b:],
+                                    slot[t:2 * t]))
+            self._orders[b, t] = order, order % t
+        return self._orders[b, t]
 
     @classmethod
     def for_batches(cls, positives: int, eta: int, k: int, ent_rows: int, rel_rows: int) -> "Arena":
@@ -233,17 +266,6 @@ class Gradients:
         return cls(slots, rows, n_ent, at, trained, values)
 
 
-def _scatter_order(b: int, t: int) -> np.ndarray:
-    """Index into :func:`block_slots` of ``t`` triples, the first ``b`` of
-    them positives, of every slot in the order its term is scattered:
-    subjects of positives, objects of positives, subjects of corruptions,
-    objects of corruptions, then the relations. Each buffer cell adds its
-    terms in this order, as ``np.add.at`` over the four parts one after
-    another would, so the sums match it bit for bit."""
-    slot = np.arange(3 * t)
-    return np.concatenate((slot[:b], slot[2 * t:2 * t + b], slot[b:t], slot[2 * t + b:], slot[t:2 * t]))
-
-
 def _scatter_score_grads(grads: Gradients, coeff: np.ndarray, b: int, arena: Arena) -> None:
     """Accumulate coeff_t * (d f_t / d parameter) for each triple t of the
     batch whose rows ``arena.gather`` holds, with one scatter.
@@ -263,8 +285,8 @@ def _scatter_score_grads(grads: Gradients, coeff: np.ndarray, b: int, arena: Are
     if grads.n_ent < len(grads.rows):  # d/dp = conj(s) * o
         np.conjugate(s, out=terms[t:2 * t])
         terms[t:2 * t] *= o
-    order = _scatter_order(b, t)
-    slot_coeff = np.concatenate((coeff, coeff, coeff))[order]
+    order, triple = arena._scatter_order(b, t)
+    slot_coeff = coeff[triple]
     keep = slot_coeff != 0.0
     if grads.trained is not None:
         keep &= grads.trained[order]
@@ -274,15 +296,17 @@ def _scatter_score_grads(grads: Gradients, coeff: np.ndarray, b: int, arena: Are
     values = np.take(terms, kept, axis=0, out=arena.gather[:len(kept)], mode="wrap").view(np.float64)
     values *= slot_coeff[keep][:, None]
     g = grads.values.view(np.float64)
-    g += scatter_rows(grads.at[kept], values, len(grads.rows), arena.cells[:len(kept)])
+    g += scatter_rows(grads.at[kept], values, len(grads.rows), arena.table, arena.cells[:len(kept)])
 
 
 def hinge_part(
     model: ModelParams, batch: TrainingBatch, margin: float, grads: Gradients | None = None,
-    arena: Arena | None = None,
+    arena: Arena | None = None, slots: np.ndarray | None = None,
 ) -> float:
     """Hinge loss of the batch; with ``grads``, its gradient is accumulated
-    there, with ``arena`` (or a fresh one) as scratch.
+    there, with ``arena`` (or a fresh one) as scratch. ``slots`` is
+    :func:`block_slots` of the batch, built here when None and taken from
+    ``grads`` when it is given.
 
     Every subject, relation and object row is gathered once. With
     f = Re(s * p * conj(o)), the complex gradients are
@@ -293,10 +317,13 @@ def hinge_part(
     subgradient at an exactly-zero violation is taken as zero, so only
     strictly positive violations propagate.
     """
-    slots = block_slots(batch, model.vocab) if grads is None else grads.slots
+    if grads is not None:
+        slots = grads.slots
+    elif slots is None:
+        slots = block_slots(batch, model.vocab)
     b, t = len(batch.pos), len(slots) // 3
     if arena is None:
-        arena = Arena(t, model.k, 0)
+        arena = Arena(t, model.k, 0 if grads is None else len(grads.rows))
     gathered = np.take(model.block, slots, axis=0, out=arena.gather[:3 * t], mode="wrap")
     s, p, o = gathered[:t], gathered[t:2 * t], gathered[2 * t:]
     sp = np.multiply(s, p, out=arena.terms[2 * t:3 * t])

@@ -33,22 +33,22 @@ def sample_corruptions(
         raise InputError(f"entity pool of size {n}: cannot corrupt")
 
     total = batch.shape[0] * eta
-    base = np.repeat(batch, eta, axis=0)
+    out = batch.repeat(eta, axis=0)
+    flat = out.reshape(-1)  # corruption i's subject is cell 3i, its object 3i + 2
     side = rng.integers(0, 2, size=total)  # 0 -> subject, 1 -> object
     repl = rng.integers(0, n, size=total)
-    col = side * 2
-    rows = np.arange(total)
-    bad = repl == base[rows, col]
+    cell = np.arange(0, 3 * total, 3)
+    cell += 2 * side
+    bad = repl == flat[cell]
 
     # with n >= 2 each redraw clears a row with probability >= 1/2, so the
     # loop ends after a few passes
     while bad.any():
         hit = np.flatnonzero(bad)
-        side[hit] = rng.integers(0, 2, size=hit.size)
+        side = rng.integers(0, 2, size=hit.size)
         repl[hit] = rng.integers(0, n, size=hit.size)
-        col[hit] = side[hit] * 2
-        bad[hit] = repl[hit] == base[hit, col[hit]]
+        cell[hit] = 3 * hit + 2 * side
+        bad[hit] = repl[hit] == flat[cell[hit]]
 
-    out = base.copy()
-    out[rows, col] = repl
+    flat[cell] = repl
     return out

@@ -176,11 +176,13 @@ def loss_and_grad(
     is accumulated there in place, and the penalty covers only the rows
     ``grads`` trains (the others add a constant). Both parts take their
     scratch from ``arena``, or from fresh ones."""
-    loss = hinge_part(model, batch, hp.margin, grads, arena)
     if grads is None:
-        _, rows, n_ent = touched_rows(block_slots(batch, model.vocab), model)
+        slots = block_slots(batch, model.vocab)
+        loss = hinge_part(model, batch, hp.margin, arena=arena, slots=slots)
+        _, rows, n_ent = touched_rows(slots, model)
         ent_rows, rel_rows = rows[:n_ent], rows[n_ent:]
     else:
+        loss = hinge_part(model, batch, hp.margin, grads, arena)
         ent_rows, rel_rows = grads.ent_rows, grads.rel_rows
     loss += regularizer_part(model, ent_rows, rel_rows, hp.reg_p, hp.reg_lambda, grads, arena)
     return loss

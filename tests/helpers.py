@@ -11,6 +11,7 @@ import random
 import numpy as np
 
 from qakge.model import ModelParams, init_model, score_triples
+from qakge.node2vec import AdjacencyStructure, transition_probs
 from qakge.objective import Gradients, TrainingBatch, focuse_alpha, int_power, sigmoid, softplus
 from qakge.training import loss_and_grad
 from qakge.triples import TripleGraph, Vocabulary, WeightedTriple
@@ -211,3 +212,62 @@ def random_batch(n_entities: int, n_relations: int, rng: np.random.Generator,
     side = rng.integers(0, 2, n_pos * eta)
     neg[np.arange(n_pos * eta), side * 2] = rng.integers(0, n_entities, n_pos * eta)
     return TrainingBatch(pos, np.asarray(weights, dtype=np.float64), neg, eta, beta)
+
+
+def step_by_step_walks(graph: TripleGraph, walks_per_node: int, walk_length: int,
+                       p: float, q: float, seed: int) -> list[np.ndarray]:
+    """Biased walks that compute every step's transition afresh and pick
+    the next node with ``np.searchsorted`` over its cumulative sum."""
+    adj = AdjacencyStructure.from_graph(graph)
+    walks = []
+    for node in range(len(adj.names)):
+        rng = np.random.default_rng((seed, node))
+        for _ in range(walks_per_node):
+            walk = np.empty(walk_length, dtype=np.int64)
+            walk[0] = node
+            prev, length = None, 1
+            for step in range(1, walk_length):
+                cur = int(walk[step - 1])
+                cand, probs = transition_probs(adj, prev, cur, p, q)
+                if cand.size == 0:
+                    break
+                u = rng.random()
+                pick = min(int(np.searchsorted(np.cumsum(probs), u)), cand.size - 1)
+                walk[step] = cand[pick]
+                prev, length = cur, step + 1
+            walks.append(walk[:length])
+    return walks
+
+
+def looped_window_pairs(walk: np.ndarray, window: int) -> np.ndarray:
+    """(center, context) pairs by a double loop over positions."""
+    pairs = []
+    n = walk.shape[0]
+    for i in range(n):
+        for j in range(max(0, i - window), min(n, i + window + 1)):
+            if j != i:
+                pairs.append((int(walk[i]), int(walk[j])))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def fancy_index_corruptions(batch: np.ndarray, eta: int, vocab: Vocabulary,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Corruptions written through a row and column fancy index into a copy
+    of the repeated batch, with the same draws in the same order as
+    ``sample_corruptions``."""
+    total = batch.shape[0] * eta
+    base = np.repeat(batch, eta, axis=0)
+    side = rng.integers(0, 2, size=total)
+    repl = rng.integers(0, vocab.n_entities, size=total)
+    col = side * 2
+    rows = np.arange(total)
+    bad = repl == base[rows, col]
+    while bad.any():
+        hit = np.flatnonzero(bad)
+        side[hit] = rng.integers(0, 2, size=hit.size)
+        repl[hit] = rng.integers(0, vocab.n_entities, size=hit.size)
+        col[hit] = side[hit] * 2
+        bad[hit] = repl[hit] == base[hit, col[hit]]
+    out = base.copy()
+    out[rows, col] = repl
+    return out

@@ -17,7 +17,10 @@ from qakge.node2vec import (
     transition_probs,
     window_pairs,
 )
+from qakge import node2vec
 from qakge.triples import TripleGraph, WeightedTriple
+
+from .helpers import looped_window_pairs, step_by_step_walks
 
 
 def edges(*pairs: tuple[str, str]) -> TripleGraph:
@@ -103,6 +106,54 @@ def test_isolated_node_walks_have_length_one():
     lone = adj.index["lone"]
     lone_walks = walks[lone * 2 : lone * 2 + 2]
     assert all(w.shape == (1,) and w[0] == lone for w in lone_walks)
+
+
+def biased_graph() -> TripleGraph:
+    """Two triangles joined by a path, a pendant node and an isolated one."""
+    return TripleGraph.from_triples([
+        *(WeightedTriple(s, "linked", o, 1.0) for s, o in (
+            ("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e"),
+            ("e", "f"), ("f", "g"), ("g", "e"), ("g", "h"))),
+        WeightedTriple("lone", "linked", "lone", 1.0),  # only a self-loop
+    ])
+
+
+def test_walks_match_the_step_by_step_reference():
+    graph = biased_graph()
+    for seed in (0, 1, 2):
+        for p, q in ((0.5, 2.0), (4.0, 0.25)):
+            got = generate_walks(graph, walks_per_node=3, walk_length=25, p=p, q=q, seed=seed)
+            want = step_by_step_walks(graph, 3, 25, p, q, seed)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64 and np.array_equal(g, w)
+    assert any(len(w) == 1 for w in got)  # the isolated node's walks
+
+
+def test_walks_compute_each_transition_once_through_the_module_name(monkeypatch):
+    graph, length, calls = biased_graph(), 15, []
+
+    def counted(adj, prev, cur, p, q):
+        calls.append((prev, cur))
+        return transition_probs(adj, prev, cur, p, q)
+
+    monkeypatch.setattr(node2vec, "transition_probs", counted)
+    walks = generate_walks(graph, walks_per_node=4, walk_length=length, p=0.5, q=2.0, seed=1)
+    # a walk looks up the transition out of each of its nodes but the last
+    # of a full-length walk; a dead end looks it up and stops
+    seen = {(None if i == 0 else int(w[i - 1]), int(w[i]))
+            for w in walks for i in range(min(len(w), length - 1))}
+    assert len(calls) == len(set(calls)) == len(seen)
+    assert set(calls) == seen
+
+
+def test_window_pairs_match_the_double_loop():
+    walk = np.random.default_rng(0).integers(0, 30, 80)
+    for window in (1, 3, 5):
+        for n in (1, 2, window, window + 1, 80):
+            got = window_pairs(walk[:n], window)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, looped_window_pairs(walk[:n], window))
 
 
 def clique_graph() -> TripleGraph:

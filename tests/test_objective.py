@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from qakge.errors import InputError
 from qakge.model import init_model
 from qakge.objective import (
+    Arena,
     Gradients,
     TrainingBatch,
     block_slots,
     hinge_part,
     int_power,
     regularizer_part,
+    scatter_rows,
     sigmoid,
     softplus,
     touched_rows,
@@ -238,3 +240,25 @@ def test_loss_is_the_same_with_and_without_gradients(model8):
             with_grads = loss_and_grad(model8, batch, hp, grads)
             assert with_grads == loss_and_grad(model8, batch, hp)
             assert np.abs(grads.values).max() > 0.0
+
+
+def test_scatter_rows_matches_add_at_bit_for_bit():
+    rng = np.random.default_rng(3)
+    arena = Arena(64, 3, 20)  # a table of 20 rows of 6 floats
+    for n_rows, size in ((20, 64), (11, 200), (1, 5), (7, 0)):
+        at = rng.integers(0, n_rows, size)
+        values = rng.standard_normal((size, 6)) * 10.0 ** rng.integers(-8, 8, (size, 1))
+        want = np.zeros((n_rows, 6))
+        np.add.at(want, at, values)
+        for table, cells in ((arena.table, None), (arena.table, np.empty((size, 6), np.int64)),
+                             (np.arange(n_rows * 6).reshape(n_rows, 6), None)):
+            got = scatter_rows(at, values, n_rows, table, cells)
+            assert got.shape == (n_rows, 6) and np.array_equal(got, want)
+
+
+def test_scatter_rows_rejects_targets_outside_its_rows():
+    table = np.arange(5 * 2).reshape(5, 2)
+    values = np.ones((2, 2))
+    for n_rows, bad in ((4, -1), (4, 4), (4, 7), (8, 5)):  # the last is past the table
+        with pytest.raises(IndexError):
+            scatter_rows(np.array([0, bad]), values, n_rows, table)

@@ -6,7 +6,7 @@ import pytest
 from qakge.errors import InputError
 from qakge.sampling import sample_corruptions
 
-from .helpers import small_vocab
+from .helpers import fancy_index_corruptions, small_vocab
 
 
 def _positives(rng, n, n_entities=8, n_relations=3):
@@ -68,3 +68,17 @@ def test_resolvable_collisions_resolve_silently(caplog):
     for row in neg:
         assert not np.array_equal(row, batch[0])
     assert not caplog.records
+
+
+def test_corruptions_match_the_fancy_index_reference():
+    for n_entities in (2, 8):  # two entities force redraws
+        vocab = small_vocab(n_entities, 3)
+        for seed in range(5):
+            batch = _positives(np.random.default_rng(seed), 7, n_entities)
+            for eta in (1, 5):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sample_corruptions(batch, eta, vocab, got_rng)
+                want = fancy_index_corruptions(batch, eta, vocab, want_rng)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                # the same draws were made: both generators end in one state
+                assert got_rng.integers(0, 2**62) == want_rng.integers(0, 2**62)
