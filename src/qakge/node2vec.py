@@ -3,11 +3,13 @@
 This is the retrieval baseline: embed every node of the metadata graph with
 biased second-order walks plus a skip-gram model, then answer a new context
 by copying the plan of its nearest existing schema under cosine similarity.
-Everything is hand-rolled on numpy so runs are bit-reproducible.
+Everything is hand-rolled on numpy so seeded runs repeat: walks bit for
+bit anywhere, embeddings bit for bit on one machine and BLAS build.
 """
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -55,8 +57,8 @@ def transition_probs(
     ``prev`` and ``cur``, 1/q otherwise. ``prev=None`` (walk start) is
     uniform over the neighbors of ``cur``.
     """
-    if p <= 0 or q <= 0:
-        raise InputError(f"walk bias parameters must be positive, got p={p}, q={q}")
+    if not (p > 0 and q > 0 and math.isfinite(p) and math.isfinite(q)):
+        raise InputError(f"walk bias parameters must be positive and finite, got p={p}, q={q}")
     cand = adj.neighbors[cur]
     if cand.size == 0:
         return cand, np.empty(0, dtype=np.float64)
@@ -159,15 +161,23 @@ def train_skipgram(
     """Skip-gram with negative sampling over precomputed walks.
 
     Noise distribution is the unigram frequency of walk tokens raised to
-    0.75. Updates are applied in fixed-size batches, summed per row by
-    ``scatter_rows`` through one cell table per call, so repeated rows
-    accumulate deterministically. The learning rate decays linearly to a
-    floor of 1e-4 of its start value.
+    0.75. Updates are applied in fixed-size batches. The center rows are
+    summed per row by ``scatter_rows`` through one cell table per call, so
+    repeated rows accumulate deterministically. The output rows a batch
+    names take one dense product, ``G.T @ vc``: G (batch x m) holds each
+    pair's logit gradient against each of the m distinct rows its context
+    and negatives name (summed where a pair names a row twice), and vc the
+    center vectors. It costs O(m * batch * d) against O(batch * (1 +
+    negatives) * d) for a scatter of every value, so it wins while a batch
+    names few distinct rows. It sums in BLAS order: seeded embeddings are
+    the same bits on one machine and BLAS build, and may differ in the
+    last bits on another. The learning rate decays linearly to a floor of
+    1e-4 of its start value.
     """
     if d < 1 or negatives < 1 or epochs < 1:
         raise InputError("d, negatives and epochs must all be >= 1")
-    if learning_rate <= 0:
-        raise InputError(f"learning_rate must be positive, got {learning_rate}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise InputError(f"learning_rate must be positive and finite, got {learning_rate}")
     n = len(names)
     pair_blocks = [window_pairs(w, window) for w in walks if w.shape[0] > 1]
     if not pair_blocks:
@@ -186,6 +196,9 @@ def train_skipgram(
     table = np.arange(n * d).reshape(n, d)  # row i: the flat cells of row i
 
     batch = 256
+    named = np.zeros(n, dtype=bool)
+    targets = np.empty((batch, 1 + negatives), dtype=np.int64)  # context, then negatives
+    logit_grads = np.empty((batch, 1 + negatives))
     total_steps = epochs * ((pairs.shape[0] + batch - 1) // batch)
     step = 0
     for _ in range(epochs):
@@ -202,16 +215,25 @@ def train_skipgram(
             u_pos = w_out[contexts]
             g_pos = 1.0 / (1.0 + np.exp(-np.einsum("bd,bd->b", vc, u_pos))) - 1.0
             grad_c = g_pos[:, None] * u_pos
-            d_pos = g_pos[:, None] * vc
             # negatives: push sigmoid(vc . u_neg) toward 0
             u_neg = w_out[neg]  # (b, k, d)
             g_neg = 1.0 / (1.0 + np.exp(-np.einsum("bd,bkd->bk", vc, u_neg)))
             grad_c += np.einsum("bk,bkd->bd", g_neg, u_neg)
-            d_neg = g_neg[:, :, None] * vc[:, None, :]
-
             w_in += scatter_rows(centers, -alpha * grad_c, n, table)
-            w_out += scatter_rows(np.concatenate([contexts, neg.reshape(-1)]),
-                                  -alpha * np.concatenate([d_pos, d_neg.reshape(-1, d)]), n, table)
+
+            # output rows: G[i, j] sums the logit gradients of pair i
+            # against the j-th distinct row the batch names
+            tgt, coef = targets[:b], logit_grads[:b]
+            tgt[:, 0], tgt[:, 1:] = contexts, neg
+            coef[:, 0], coef[:, 1:] = g_pos, g_neg
+            named.fill(False)
+            named[tgt] = True
+            rows = np.flatnonzero(named)
+            m = len(rows)
+            column = np.cumsum(named) - 1  # row id -> its column of G
+            cells = column[tgt] + m * np.arange(b)[:, None]
+            G = np.bincount(cells.ravel(), weights=coef.ravel(), minlength=b * m).reshape(b, m)
+            w_out[rows] -= alpha * (G.T @ vc)
             step += 1
     return NodeEmbeddings(names, {name: i for i, name in enumerate(names)}, w_in)
 
@@ -291,8 +313,11 @@ class BaselineConfig:
 
     def __post_init__(self) -> None:
         for name in ("p", "q", "learning_rate", "threshold"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InputError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise InputError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value!r}")
         if self.p <= 0 or self.q <= 0:
             raise InputError("p and q must be positive")
         sizes = (self.walks_per_node, self.walk_length, self.d, self.window,

@@ -42,12 +42,21 @@ from .triples import Vocabulary
 def softplus(x):
     """log(1 + e^x), overflow-safe for any float64 input."""
     x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return _softplus(x, np.exp(-np.abs(x)))
 
 
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(x))
+    return _sigmoid(x, np.exp(-np.abs(x)))
+
+
+def _softplus(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """softplus(x) given z = exp(-|x|)."""
+    return np.maximum(x, 0.0) + np.log1p(z)
+
+
+def _sigmoid(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sigmoid(x) given z = exp(-|x|)."""
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
@@ -332,7 +341,8 @@ def hinge_part(
     w = batch.pos_weights
     alpha = np.concatenate((focuse_alpha(w, batch.beta, True),
                             np.repeat(focuse_alpha(w, batch.beta, False), batch.eta)))
-    g = alpha * softplus(f)
+    z = np.exp(-np.abs(f))  # shared by softplus and, for the gradient, sigmoid
+    g = alpha * _softplus(f, z)
     viol = margin + g[b:].reshape(b, batch.eta) - g[:b, None]
     active = viol > 0.0
     loss = float(viol[active].sum()) if active.any() else 0.0
@@ -341,7 +351,7 @@ def hinge_part(
 
     # dL/df = -alpha * sigmoid(f) * (#active pairs) for a positive, and
     # alpha * sigmoid(f) for each active pair's corruption
-    coeff = alpha * sigmoid(f)
+    coeff = alpha * _sigmoid(f, z)
     coeff *= np.concatenate((-active.sum(axis=1), active.reshape(-1)))
     _scatter_score_grads(grads, coeff, b, arena)
     return loss
@@ -381,7 +391,7 @@ def regularizer_part(
     one."""
     if lam == 0.0:
         return 0.0
-    rows = np.concatenate((ent_rows, rel_rows))
+    rows = np.concatenate((ent_rows, rel_rows)) if grads is None else grads.rows
     size, split = len(rows), len(ent_rows)
     if arena is None:
         arena = Arena(0, model.k, size)

@@ -7,6 +7,7 @@ final parameters bit for bit.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 import time
 from dataclasses import dataclass, fields
@@ -58,8 +59,11 @@ class Hyperparams:
                 "k, eta, batch_size, epochs, reg_p, seed and beta_decay_epochs must be integers"
             )
         for name in ("learning_rate", "margin", "reg_lambda"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InputError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise InputError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value!r}")
         if not isinstance(self.focuse, bool):
             raise InputError(f"focuse must be true or false, got {self.focuse!r}")
         if self.k < 1:

@@ -11,8 +11,10 @@ import random
 import numpy as np
 
 from qakge.model import ModelParams, init_model, score_triples
-from qakge.node2vec import AdjacencyStructure, transition_probs
-from qakge.objective import Gradients, TrainingBatch, focuse_alpha, int_power, sigmoid, softplus
+from qakge.node2vec import AdjacencyStructure, NodeEmbeddings, transition_probs, window_pairs
+from qakge.objective import (
+    Gradients, TrainingBatch, focuse_alpha, int_power, scatter_rows, sigmoid, softplus,
+)
 from qakge.training import loss_and_grad
 from qakge.triples import TripleGraph, Vocabulary, WeightedTriple
 
@@ -237,6 +239,48 @@ def step_by_step_walks(graph: TripleGraph, walks_per_node: int, walk_length: int
                 prev, length = cur, step + 1
             walks.append(walk[:length])
     return walks
+
+
+def scattered_skipgram(walks, names: tuple[str, ...], d: int = 64, window: int = 5,
+                       negatives: int = 5, epochs: int = 5, learning_rate: float = 0.025,
+                       seed: int = 0) -> NodeEmbeddings:
+    """``train_skipgram`` with the output update done one value at a time:
+    every (pair, context or negative) term -alpha * g * vc is formed and
+    summed into its row with ``scatter_rows``, in slot order. The draws,
+    logits and center update are the library's."""
+    n = len(names)
+    pairs = np.concatenate([window_pairs(w, window) for w in walks if w.shape[0] > 1], axis=0)
+    noise = np.bincount(pairs[:, 0], minlength=n).astype(np.float64) ** 0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+    rng = np.random.default_rng((seed, 7))
+    w_in = (rng.random((n, d)) - 0.5) / d
+    w_out = np.zeros((n, d))
+    table = np.arange(n * d).reshape(n, d)
+    batch = 256
+    total_steps = epochs * ((pairs.shape[0] + batch - 1) // batch)
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(pairs.shape[0])
+        for start in range(0, pairs.shape[0], batch):
+            sel = pairs[order[start : start + batch]]
+            centers, contexts = sel[:, 0], sel[:, 1]
+            b = centers.shape[0]
+            neg = np.minimum(np.searchsorted(noise_cdf, rng.random((b, negatives))), n - 1)
+            alpha = learning_rate * max(1e-4, 1.0 - step / total_steps)
+            vc = w_in[centers]
+            u_pos = w_out[contexts]
+            g_pos = 1.0 / (1.0 + np.exp(-np.einsum("bd,bd->b", vc, u_pos))) - 1.0
+            grad_c = g_pos[:, None] * u_pos
+            d_pos = g_pos[:, None] * vc
+            u_neg = w_out[neg]
+            g_neg = 1.0 / (1.0 + np.exp(-np.einsum("bd,bkd->bk", vc, u_neg)))
+            grad_c += np.einsum("bk,bkd->bd", g_neg, u_neg)
+            d_neg = g_neg[:, :, None] * vc[:, None, :]
+            w_in += scatter_rows(centers, -alpha * grad_c, n, table)
+            w_out += scatter_rows(np.concatenate([contexts, neg.reshape(-1)]),
+                                  -alpha * np.concatenate([d_pos, d_neg.reshape(-1, d)]), n, table)
+            step += 1
+    return NodeEmbeddings(names, {name: i for i, name in enumerate(names)}, w_in)
 
 
 def looped_window_pairs(walk: np.ndarray, window: int) -> np.ndarray:

@@ -1,4 +1,6 @@
 """Walk-embedding baseline: adjacency, biased walks, skip-gram, retrieval."""
+import math
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,10 @@ from qakge.node2vec import (
     window_pairs,
 )
 from qakge import node2vec
+from qakge.synth import build_radiation_scenario
 from qakge.triples import TripleGraph, WeightedTriple
 
-from .helpers import looped_window_pairs, step_by_step_walks
+from .helpers import looped_window_pairs, scattered_skipgram, step_by_step_walks
 
 
 def edges(*pairs: tuple[str, str]) -> TripleGraph:
@@ -69,6 +72,11 @@ def test_transition_probs_start_is_uniform_and_return_suppressed():
         transition_probs(adj, None, a, p=0.0, q=1.0)
     with pytest.raises(InputError, match="positive"):
         transition_probs(adj, None, a, p=1.0, q=-2.0)
+    for bias in (math.nan, math.inf):
+        with pytest.raises(InputError, match="finite"):
+            transition_probs(adj, None, a, p=bias, q=1.0)
+        with pytest.raises(InputError, match="finite"):
+            transition_probs(adj, None, a, p=1.0, q=bias)
 
 
 def test_window_pairs_exact():
@@ -192,6 +200,34 @@ def test_skipgram_deterministic_and_needs_pairs():
     assert np.array_equal(one.vectors, two.vectors)
     with pytest.raises(InputError, match="no training pairs"):
         train_skipgram([np.array([0]), np.array([1])], ("x", "y"), d=4)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="learning_rate"):
+            train_skipgram(walks, graph.vocab.entities, d=8, learning_rate=rate)
+
+
+def test_skipgram_output_update_matches_value_by_value_reference():
+    graph = clique_graph()
+    walks = generate_walks(graph, walks_per_node=4, walk_length=20, seed=3)
+    dense = train_skipgram(walks, graph.vocab.entities, d=16, epochs=1, seed=5)
+    scattered = scattered_skipgram(walks, graph.vocab.entities, d=16, epochs=1, seed=5)
+    np.testing.assert_allclose(dense.vectors, scattered.vectors, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_radiation_retrieval_matches_value_by_value_reference(seed):
+    """At the benchmark's walk settings the dense output update retrieves
+    the plan that the value-by-value update retrieves."""
+    scenario = build_radiation_scenario()
+    query = scenario.input_context
+    graph = scenario.graph.extended(context_to_triples(query))
+    cfg = BaselineConfig(walks_per_node=2, epochs=1)
+    walks = generate_walks(graph, cfg.walks_per_node, cfg.walk_length, cfg.p, cfg.q, seed=seed)
+    scattered = scattered_skipgram(walks, graph.vocab.entities, d=cfg.d, window=cfg.window,
+                                   negatives=cfg.negatives, epochs=cfg.epochs,
+                                   learning_rate=cfg.learning_rate, seed=seed)
+    dense = embed_graph(graph, cfg, seed=seed)
+    assert (baseline_plan(graph, dense, query, cfg.threshold)
+            == baseline_plan(graph, scattered, query, cfg.threshold))
 
 
 def test_embed_graph_shape_and_names():
@@ -295,6 +331,10 @@ def test_baseline_config_validation():
         BaselineConfig(walk_length=0)
     with pytest.raises(InputError, match="threshold"):
         BaselineConfig(threshold=2.0)
+    for name in ("p", "q", "learning_rate", "threshold"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match=name):
+                BaselineConfig(**{name: value})
     cfg = from_json_object(BaselineConfig, {"d": 16, "epochs": 2}, "baseline config")
     assert cfg.d == 16 and cfg.epochs == 2
     with pytest.raises(InputError, match="unknown baseline"):

@@ -1,5 +1,7 @@
 """Training loop behavior: determinism, schedules, divergence, warm starts."""
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
@@ -284,6 +286,13 @@ def test_hyperparams_validation():
         Hyperparams(reg_p=0)
     with pytest.raises(InputError, match="reg_lambda"):
         Hyperparams(reg_lambda=-1e-4)
+    for name in ("learning_rate", "margin", "reg_lambda"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match=name):
+                Hyperparams(**{name: value})
+    # json.load reads NaN and Infinity, so a config file can carry them
+    with pytest.raises(InputError, match="margin must be finite"):
+        from_json_object(Hyperparams, json.loads('{"margin": NaN}'), "hyperparameter")
 
 
 def test_hyperparams_dict_round_trip():
