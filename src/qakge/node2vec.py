@@ -148,6 +148,15 @@ class NodeEmbeddings:
         return self.vectors[self.index[name]]
 
 
+def _distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``ids``, each in [0, n), and the index
+    of every entry of ``ids`` among them. An n-sized mask costs less than
+    ``np.unique`` for the graphs and batch sizes skip-gram sees."""
+    named = np.zeros(n, dtype=bool)
+    named[ids] = True
+    return np.flatnonzero(named), (np.cumsum(named) - 1)[ids]
+
+
 def train_skipgram(
     walks: Sequence[np.ndarray],
     names: tuple[str, ...],
@@ -161,18 +170,18 @@ def train_skipgram(
     """Skip-gram with negative sampling over precomputed walks.
 
     Noise distribution is the unigram frequency of walk tokens raised to
-    0.75. Updates are applied in fixed-size batches. The center rows are
-    summed per row by ``scatter_rows`` through one cell table per call, so
-    repeated rows accumulate deterministically. The output rows a batch
-    names take one dense product, ``G.T @ vc``: G (batch x m) holds each
-    pair's logit gradient against each of the m distinct rows its context
-    and negatives name (summed where a pair names a row twice), and vc the
-    center vectors. It costs O(m * batch * d) against O(batch * (1 +
-    negatives) * d) for a scatter of every value, so it wins while a batch
-    names few distinct rows. It sums in BLAS order: seeded embeddings are
-    the same bits on one machine and BLAS build, and may differ in the
-    last bits on another. The learning rate decays linearly to a floor of
-    1e-4 of its start value.
+    0.75. Updates are applied in fixed-size batches, to the rows the batch
+    names only. The center rows are summed per row by ``scatter_rows``, so
+    repeated rows accumulate deterministically. The output rows take one
+    dense product per batch, ``H.T @ w_in[distinct centers]``: H (distinct
+    centers x distinct rows that the contexts and negatives name) sums the
+    logit gradients of the pairs against each row, and the center vectors
+    are read before the batch updates them. Summing by center first does
+    the arithmetic once per distinct center rather than once per pair.
+    The product sums in BLAS order, so seeded embeddings repeat bit for bit
+    on one machine and BLAS build, and may differ in the last bits on
+    another. The learning rate decays linearly to a floor of 1e-4 of its
+    start value.
     """
     if d < 1 or negatives < 1 or epochs < 1:
         raise InputError("d, negatives and epochs must all be >= 1")
@@ -183,6 +192,7 @@ def train_skipgram(
     if not pair_blocks:
         raise InputError("no training pairs: every walk has length 1")
     pairs = np.concatenate(pair_blocks, axis=0)
+    del pair_blocks  # as large as pairs; the batches reuse its memory
 
     counts = np.bincount(pairs[:, 0], minlength=n).astype(np.float64)
     noise = counts**0.75
@@ -190,15 +200,12 @@ def train_skipgram(
         raise InputError("degenerate noise distribution")
     noise_cdf = np.cumsum(noise / noise.sum())
 
+    batch = 256
     rng = np.random.default_rng((seed, 7))
     w_in = (rng.random((n, d)) - 0.5) / d
     w_out = np.zeros((n, d))
-    table = np.arange(n * d).reshape(n, d)  # row i: the flat cells of row i
+    table = np.arange(batch * d).reshape(batch, d)  # row i: the flat cells of row i
 
-    batch = 256
-    named = np.zeros(n, dtype=bool)
-    targets = np.empty((batch, 1 + negatives), dtype=np.int64)  # context, then negatives
-    logit_grads = np.empty((batch, 1 + negatives))
     total_steps = epochs * ((pairs.shape[0] + batch - 1) // batch)
     step = 0
     for _ in range(epochs):
@@ -219,21 +226,18 @@ def train_skipgram(
             u_neg = w_out[neg]  # (b, k, d)
             g_neg = 1.0 / (1.0 + np.exp(-np.einsum("bd,bkd->bk", vc, u_neg)))
             grad_c += np.einsum("bk,bkd->bd", g_neg, u_neg)
-            w_in += scatter_rows(centers, -alpha * grad_c, n, table)
 
-            # output rows: G[i, j] sums the logit gradients of pair i
-            # against the j-th distinct row the batch names
-            tgt, coef = targets[:b], logit_grads[:b]
-            tgt[:, 0], tgt[:, 1:] = contexts, neg
-            coef[:, 0], coef[:, 1:] = g_pos, g_neg
-            named.fill(False)
-            named[tgt] = True
-            rows = np.flatnonzero(named)
-            m = len(rows)
-            column = np.cumsum(named) - 1  # row id -> its column of G
-            cells = column[tgt] + m * np.arange(b)[:, None]
-            G = np.bincount(cells.ravel(), weights=coef.ravel(), minlength=b * m).reshape(b, m)
-            w_out[rows] -= alpha * (G.T @ vc)
+            # H[c, j] sums the logit gradients of the pairs with the c-th
+            # distinct center against the j-th distinct row they name
+            distinct, center_id = _distinct_rows(centers, n)
+            targets = np.column_stack((contexts, neg))  # (b, 1 + k)
+            rows, column = _distinct_rows(targets, n)
+            m = rows.shape[0]
+            H = np.bincount((center_id[:, None] * m + column).ravel(),
+                            weights=np.column_stack((g_pos, g_neg)).ravel(),
+                            minlength=distinct.shape[0] * m).reshape(-1, m)
+            w_out[rows] -= alpha * (H.T @ w_in[distinct])
+            w_in[distinct] += scatter_rows(center_id, -alpha * grad_c, distinct.shape[0], table)
             step += 1
     return NodeEmbeddings(names, {name: i for i, name in enumerate(names)}, w_in)
 

@@ -205,12 +205,22 @@ def test_skipgram_deterministic_and_needs_pairs():
             train_skipgram(walks, graph.vocab.entities, d=8, learning_rate=rate)
 
 
-def test_skipgram_output_update_matches_value_by_value_reference():
-    graph = clique_graph()
-    walks = generate_walks(graph, walks_per_node=4, walk_length=20, seed=3)
-    dense = train_skipgram(walks, graph.vocab.entities, d=16, epochs=1, seed=5)
-    scattered = scattered_skipgram(walks, graph.vocab.entities, d=16, epochs=1, seed=5)
-    np.testing.assert_allclose(dense.vectors, scattered.vectors, rtol=1e-12, atol=0.0)
+def ring_graph(size: int) -> TripleGraph:
+    return edges(*((f"v{i}", f"v{(i + 1) % size}") for i in range(size)))
+
+
+@pytest.mark.parametrize("graph, walks_per_node, walk_length", [
+    (clique_graph(), 4, 20),  # every batch names all 12 rows
+    (ring_graph(1000), 1, 6),  # a batch names about 760 rows
+], ids=["cliques", "ring"])
+def test_skipgram_output_update_matches_value_by_value_reference(graph, walks_per_node, walk_length):
+    """The dense product sums the output rows in another order than the
+    value-by-value reference, whether a batch names few rows or many. An
+    entry that cancels to near zero is held to 1e-12 of the largest one."""
+    walks = generate_walks(graph, walks_per_node=walks_per_node, walk_length=walk_length, seed=3)
+    dense = train_skipgram(walks, graph.vocab.entities, d=16, epochs=1, seed=5).vectors
+    scattered = scattered_skipgram(walks, graph.vocab.entities, d=16, epochs=1, seed=5).vectors
+    np.testing.assert_allclose(dense, scattered, rtol=1e-12, atol=1e-12 * np.abs(scattered).max())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
