@@ -35,7 +35,7 @@ from .errors import (
 )
 from .evaluation import EvalMetrics, aggregate_ranks, evaluate, ranking_metrics, validation_loss
 from .gridsearch import grid_search
-from .model import ModelParams, complex_score, init_model, score_triples
+from .model import ModelParams, init_model, score_triples
 from .node2vec import (
     BaselineConfig,
     NodeEmbeddings,
@@ -101,7 +101,6 @@ __all__ = [
     "calibrate_weight",
     "compare_plans",
     "comparison_report",
-    "complex_score",
     "context_from_dict",
     "context_to_dict",
     "context_to_triples",

@@ -138,32 +138,25 @@ class EvalMetrics:
         }
 
 
-def validation_loss(
-    model: ModelParams,
-    graph: TripleGraph,
-    hp: Hyperparams,
-    *,
-    beta: float = 0.0,
-    seed: int = 0,
-) -> float:
+def validation_loss(model: ModelParams, graph: TripleGraph, hp: Hyperparams) -> float:
     """Mean per-positive training objective on held-out triples.
 
-    Corruptions are drawn from a dedicated generator seeded by ``seed``, so
-    the number is reproducible. ``beta=0`` reflects a fully annealed run and
-    keeps values comparable across configurations.
+    Corruptions are drawn from a dedicated generator with a fixed seed, so
+    the number is reproducible. Beta is 0, as at the end of a fully annealed
+    run, which keeps values comparable across configurations.
     """
     if len(graph) == 0:
         raise InputError("cannot evaluate loss on an empty graph")
     idx, weights = graph.index_arrays(model.vocab)
-    rng = np.random.default_rng((seed, 99))
+    rng = np.random.default_rng((0, 99))
     arena = Arena.for_batches(min(len(graph), hp.batch_size), hp.eta, model.k,
                               model.vocab.n_entities, model.vocab.n_relations)
     total = 0.0
     for start in range(0, len(graph), hp.batch_size):
         pos = idx[start : start + hp.batch_size]
         neg = sample_corruptions(pos, hp.eta, model.vocab, rng)
-        batch = TrainingBatch(pos, weights[start : start + hp.batch_size], neg, hp.eta, beta)
-        total += loss_and_grad(model, batch, hp, arena=arena)
+        batch = TrainingBatch(pos, weights[start : start + hp.batch_size], neg, hp.eta, 0.0)
+        total += loss_and_grad(model, batch, hp, arena)
     return total / len(graph)
 
 

@@ -106,17 +106,6 @@ def init_model(vocab: Vocabulary, k: int, seed: int) -> ModelParams:
     return model
 
 
-def complex_score(model: ModelParams, triple_indices: tuple[int, int, int]) -> float:
-    """Raw score of one triple given as (subject, relation, object) ids."""
-    s, p, o = triple_indices
-    n, m = model.vocab.n_entities, model.vocab.n_relations
-    if not (0 <= s < n and 0 <= o < n):
-        raise InputError(f"entity index out of range: subject={s}, object={o}, n={n}")
-    if not (0 <= p < m):
-        raise InputError(f"relation index out of range: {p}, m={m}")
-    return float((model.ent[s] * model.rel[p]).view(np.float64) @ model.ent[o].view(np.float64))
-
-
 def score_triples(model: ModelParams, idx: np.ndarray) -> np.ndarray:
     """Vectorized raw scores for an (N, 3) id array."""
     sp = model.ent[idx[:, 0]]

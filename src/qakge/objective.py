@@ -24,8 +24,7 @@ model's parameter block, entity and relation rows alike: per batch it
 checks the ids once (:func:`block_slots`), marks the rows they name in one
 mask, gathers the row of every slot once, and scatters, penalizes and
 updates the trained rows in one pass each. Its temporaries, and those of
-the optimizer step, live in the :class:`Arena` a caller passes; a caller
-that passes none gets a fresh one.
+the optimizer step, live in the :class:`Arena` a caller passes.
 """
 from __future__ import annotations
 
@@ -257,8 +256,8 @@ class Gradients:
 
     @classmethod
     def for_batch(
-        cls, batch: TrainingBatch, model: ModelParams,
-        trainable: np.ndarray | None = None, arena: Arena | None = None,
+        cls, batch: TrainingBatch, model: ModelParams, arena: Arena,
+        trainable: np.ndarray | None = None,
     ) -> "Gradients":
         """Zero gradients over the block rows ``batch`` touches; with
         ``trainable``, a mask over the block, over only those of them it
@@ -268,8 +267,6 @@ class Gradients:
         touched, rows, n_ent = touched_rows(slots, model, trainable)
         at = np.cumsum(touched)[slots] - 1
         trained = None if trainable is None else touched[slots]
-        if arena is None:
-            arena = Arena(0, model.k, len(rows))
         values = arena.grads[: len(rows)]
         values.fill(0.0)
         return cls(slots, rows, n_ent, at, trained, values)
@@ -309,13 +306,12 @@ def _scatter_score_grads(grads: Gradients, coeff: np.ndarray, b: int, arena: Are
 
 
 def hinge_part(
-    model: ModelParams, batch: TrainingBatch, margin: float, grads: Gradients | None = None,
-    arena: Arena | None = None, slots: np.ndarray | None = None,
+    model: ModelParams, batch: TrainingBatch, margin: float, slots: np.ndarray, arena: Arena,
+    grads: Gradients | None = None,
 ) -> float:
-    """Hinge loss of the batch; with ``grads``, its gradient is accumulated
-    there, with ``arena`` (or a fresh one) as scratch. ``slots`` is
-    :func:`block_slots` of the batch, built here when None and taken from
-    ``grads`` when it is given.
+    """Hinge loss of the batch, whose :func:`block_slots` are ``slots``,
+    with ``arena`` as scratch; with ``grads``, its gradient is accumulated
+    there.
 
     Every subject, relation and object row is gathered once. With
     f = Re(s * p * conj(o)), the complex gradients are
@@ -326,13 +322,7 @@ def hinge_part(
     subgradient at an exactly-zero violation is taken as zero, so only
     strictly positive violations propagate.
     """
-    if grads is not None:
-        slots = grads.slots
-    elif slots is None:
-        slots = block_slots(batch, model.vocab)
     b, t = len(batch.pos), len(slots) // 3
-    if arena is None:
-        arena = Arena(t, model.k, 0 if grads is None else len(grads.rows))
     gathered = np.take(model.block, slots, axis=0, out=arena.gather[:3 * t], mode="wrap")
     s, p, o = gathered[:t], gathered[t:2 * t], gathered[2 * t:]
     sp = np.multiply(s, p, out=arena.terms[2 * t:3 * t])
@@ -380,21 +370,19 @@ def regularizer_part(
     rel_rows: np.ndarray,
     p: int,
     lam: float,
+    arena: Arena,
     grads: Gradients | None = None,
-    arena: Arena | None = None,
 ) -> float:
     """Penalty lam * sum |x|^p over the real and imaginary parts of the
     given block rows, entity rows and then relation rows (relation r is
-    block row ``n_entities + r``); with ``grads``, which must cover exactly
-    these rows, d/dx = lam * p * |x|^(p-1) * sign(x) is accumulated there
-    (zero at x = 0, also for p = 1). Its scratch is ``arena``, or a fresh
-    one."""
+    block row ``n_entities + r``), with ``arena`` as scratch; with
+    ``grads``, which must cover exactly these rows, d/dx = lam * p *
+    |x|^(p-1) * sign(x) is accumulated there (zero at x = 0, also for
+    p = 1)."""
     if lam == 0.0:
         return 0.0
     rows = np.concatenate((ent_rows, rel_rows)) if grads is None else grads.rows
     size, split = len(rows), len(ent_rows)
-    if arena is None:
-        arena = Arena(0, model.k, size)
     x_buf, a_buf, slope_buf = arena.rows[:3]
     x = np.take(model.block.view(np.float64), rows, axis=0, out=x_buf[:size], mode="wrap")
     a = np.abs(x, out=a_buf[:size])

@@ -136,18 +136,18 @@ def _stable_pick(salt: str, name: str, n: int) -> int:
     return zlib.crc32(f"{salt}:{name}".encode("utf-8")) % n
 
 
-def rules_for_attribute(name: str, limits: tuple[int, int] = (1, 3)) -> tuple[str, ...]:
-    """The quality rules a column of this name gets, primary rule first.
-
-    Depth defaults to 2 or 3 of the bundle's rules, clamped to ``limits``.
-    """
+def rules_for_attribute(name: str) -> tuple[str, ...]:
+    """The quality rules a column of this name gets, primary rule first:
+    the first 2 or 3 rules of its bundle."""
     bundle = _RULE_BUNDLES[attribute_type_of(name)]
     bundle = bundle[_stable_pick("bundle", name, len(bundle))]
-    lo, hi = limits
-    depth = min(max(2 + _stable_pick("depth", name, 2), lo), hi, len(bundle))
-    return bundle[:depth]
+    return bundle[:2 + _stable_pick("depth", name, 2)]
 
 
+# every edge weight lies in this range, rounded to 4 decimals
+WEIGHT_RANGE = (0.1, 1.0)
+# how many dimensions each quality measure contributes to
+DIMS_PER_RULE = (1, 2)
 # an edge's weight says how relevant the rule is: a bundle's primary rule
 # outweighs its follow-ups
 _POSITION_BANDS = ((0.65, 1.0), (0.4, 0.8), (0.15, 0.55))
@@ -161,9 +161,6 @@ class GeneratorConfig:
     n_contexts: int = 41
     seed: int = 7
     attrs_per_context: tuple[int, int] = (16, 48)
-    rules_per_attribute: tuple[int, int] = (1, 3)
-    dims_per_rule: tuple[int, int] = (1, 2)
-    weight_range: tuple[float, float] = (0.1, 1.0)
     domain_pool: tuple[str, ...] = DEFAULT_DOMAINS
     source_pool: tuple[str, ...] = DEFAULT_SOURCES
     format_pool: tuple[str, ...] = DEFAULT_FORMATS
@@ -173,34 +170,25 @@ class GeneratorConfig:
             raise InputError("n_contexts and seed must be integers")
         if self.n_contexts < 1:
             raise InputError(f"n_contexts must be >= 1, got {self.n_contexts}")
-        for name, pair, cap in (
-            ("attrs_per_context", self.attrs_per_context, len(ATTRIBUTE_NAMES)),
-            ("rules_per_attribute", self.rules_per_attribute, len(QUALITY_MEASURES)),
-            ("dims_per_rule", self.dims_per_rule, len(QUALITY_DIMENSIONS)),
-        ):
-            if not (is_list_of(pair, numbers.Integral) and len(pair) == 2):
-                raise InputError(f"{name} must be a [lo, hi] pair of integers, got {pair!r}")
-            lo, hi = pair
-            if not (1 <= lo <= hi <= cap):
-                raise InputError(f"{name} range must satisfy 1 <= lo <= hi <= {cap}, got ({lo}, {hi})")
-        if not (is_list_of(self.weight_range, numbers.Real) and len(self.weight_range) == 2):
-            raise InputError(f"weight_range must be a [lo, hi] pair of numbers, got {self.weight_range}")
-        lo, hi = self.weight_range
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise InputError(f"weight_range must satisfy 0 <= lo <= hi <= 1, got ({lo}, {hi})")
+        pair, cap = self.attrs_per_context, len(ATTRIBUTE_NAMES)
+        if not (is_list_of(pair, numbers.Integral) and len(pair) == 2):
+            raise InputError(f"attrs_per_context must be a [lo, hi] pair of integers, got {pair!r}")
+        lo, hi = pair
+        if not (1 <= lo <= hi <= cap):
+            raise InputError(
+                f"attrs_per_context range must satisfy 1 <= lo <= hi <= {cap}, got ({lo}, {hi})")
         for name in ("domain_pool", "source_pool", "format_pool"):
             pool = getattr(self, name)
             if not (is_list_of(pool, str) and pool):
                 raise InputError(f"{name} must be a non-empty list of strings, got {pool!r}")
 
 
+def _random_weight(rng: random.Random) -> float:
+    return round(rng.uniform(*WEIGHT_RANGE), 4)
 
-def _random_weight(rng: random.Random, cfg: GeneratorConfig) -> float:
-    return round(rng.uniform(*cfg.weight_range), 4)
 
-
-def _banded_weight(rng: random.Random, cfg: GeneratorConfig, position: int) -> float:
-    lo, hi = cfg.weight_range
+def _banded_weight(rng: random.Random, position: int) -> float:
+    lo, hi = WEIGHT_RANGE
     band_lo, band_hi = _POSITION_BANDS[min(position, len(_POSITION_BANDS) - 1)]
     return round(lo + (hi - lo) * rng.uniform(band_lo, band_hi), 4)
 
@@ -238,9 +226,9 @@ def generate_synthetic_graph(cfg: GeneratorConfig) -> tuple[TripleGraph, list[As
 
     dim_edges_by_rule: dict[str, list[DimensionEdge]] = {}
     for rule in QUALITY_MEASURES:
-        n_dims = rng.randint(*cfg.dims_per_rule)
+        n_dims = rng.randint(*DIMS_PER_RULE)
         dims = rng.sample(QUALITY_DIMENSIONS, n_dims)
-        edges = [DimensionEdge(rule, d, _random_weight(rng, cfg)) for d in dims]
+        edges = [DimensionEdge(rule, d, _random_weight(rng)) for d in dims]
         dim_edges_by_rule[rule] = edges
         triples += [WeightedTriple(e.rule, REL_CONTRIBUTES, e.dimension, e.weight) for e in edges]
 
@@ -252,8 +240,8 @@ def generate_synthetic_graph(cfg: GeneratorConfig) -> tuple[TripleGraph, list[As
         rule_edges: list[RuleEdge] = []
         for attr in ctx.attributes:
             node = ctx.attribute_node(attr.name)
-            for pos, rule in enumerate(rules_for_attribute(attr.name, cfg.rules_per_attribute)):
-                edge = RuleEdge(node, rule, _banded_weight(rng, cfg, pos))
+            for pos, rule in enumerate(rules_for_attribute(attr.name)):
+                edge = RuleEdge(node, rule, _banded_weight(rng, pos))
                 rule_edges.append(edge)
                 triples.append(WeightedTriple(edge.attribute, REL_QUALITY_RULE, edge.rule, edge.weight))
 

@@ -138,12 +138,9 @@ class _Adam:
         self.m = np.zeros_like(model.block.view(np.float64))
         self.v = np.zeros_like(model.block.view(np.float64))
 
-    def step(self, model: ModelParams, grads: Gradients, arena: Arena | None = None) -> None:
-        """One update; its temporaries are the four row buffers of ``arena``
-        (or of a fresh one)."""
+    def step(self, model: ModelParams, grads: Gradients, arena: Arena) -> None:
+        """One update; its temporaries are the four row buffers of ``arena``."""
         rows = grads.rows
-        if arena is None:
-            arena = Arena(0, model.k, len(rows))
         self.t += 1
         bc2 = 1.0 - ADAM_BETA2**self.t
         scale = self.lr / (1.0 - ADAM_BETA1**self.t)
@@ -173,22 +170,21 @@ class _Adam:
 
 
 def loss_and_grad(
-    model: ModelParams, batch: TrainingBatch, hp: Hyperparams, grads: Gradients | None = None,
-    arena: Arena | None = None,
+    model: ModelParams, batch: TrainingBatch, hp: Hyperparams, arena: Arena,
+    grads: Gradients | None = None,
 ) -> float:
-    """Hinge + regularizer loss for one batch; with ``grads``, its gradient
-    is accumulated there in place, and the penalty covers only the rows
-    ``grads`` trains (the others add a constant). Both parts take their
-    scratch from ``arena``, or from fresh ones."""
+    """Hinge + regularizer loss for one batch, with ``arena`` as scratch;
+    with ``grads``, its gradient is accumulated there in place, and the
+    penalty covers only the rows ``grads`` trains (the others add a
+    constant)."""
     if grads is None:
         slots = block_slots(batch, model.vocab)
-        loss = hinge_part(model, batch, hp.margin, arena=arena, slots=slots)
         _, rows, n_ent = touched_rows(slots, model)
         ent_rows, rel_rows = rows[:n_ent], rows[n_ent:]
     else:
-        loss = hinge_part(model, batch, hp.margin, grads, arena)
-        ent_rows, rel_rows = grads.ent_rows, grads.rel_rows
-    loss += regularizer_part(model, ent_rows, rel_rows, hp.reg_p, hp.reg_lambda, grads, arena)
+        slots, ent_rows, rel_rows = grads.slots, grads.ent_rows, grads.rel_rows
+    loss = hinge_part(model, batch, hp.margin, slots, arena, grads)
+    loss += regularizer_part(model, ent_rows, rel_rows, hp.reg_p, hp.reg_lambda, arena, grads)
     return loss
 
 
@@ -255,8 +251,8 @@ def train(
             pos = idx[take]
             neg = sample_corruptions(pos, hp.eta, graph.vocab, rng)
             batch = TrainingBatch(pos, weights[take], neg, hp.eta, beta)
-            grads = Gradients.for_batch(batch, model, trainable, arena)
-            loss = loss_and_grad(model, batch, hp, grads, arena)
+            grads = Gradients.for_batch(batch, model, arena, trainable)
+            loss = loss_and_grad(model, batch, hp, arena, grads)
             if not np.isfinite(loss):
                 rows = _non_finite_rows(model, batch)
                 raise TrainingDiverged(epoch, batch_no, rows)

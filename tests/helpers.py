@@ -13,7 +13,7 @@ import numpy as np
 from qakge.model import ModelParams, init_model, score_triples
 from qakge.node2vec import AdjacencyStructure, NodeEmbeddings, transition_probs, window_pairs
 from qakge.objective import (
-    Gradients, TrainingBatch, focuse_alpha, int_power, scatter_rows, sigmoid, softplus,
+    Arena, Gradients, TrainingBatch, focuse_alpha, int_power, scatter_rows, sigmoid, softplus,
 )
 from qakge.training import loss_and_grad
 from qakge.triples import TripleGraph, Vocabulary, WeightedTriple
@@ -32,6 +32,13 @@ def touched_ids(batch: TrainingBatch) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(ent), np.unique(np.concatenate([batch.pos[:, 1], batch.neg[:, 1]]))
 
 
+def arena_for(model: ModelParams, batch: TrainingBatch | None = None) -> Arena:
+    """An arena for batches of the size of ``batch`` (one positive and one
+    corruption when None) that may train every row of ``model``."""
+    positives, eta = (1, 1) if batch is None else (len(batch.pos), batch.eta)
+    return Arena.for_batches(positives, eta, model.k, model.vocab.n_entities, model.vocab.n_relations)
+
+
 def gradient_parts(model: ModelParams, grads: Gradients) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(parameter rows, gradient view) for each of ``GRAD_NAMES``; relation
     rows are relation ids, not block rows."""
@@ -43,8 +50,9 @@ def gradient_parts(model: ModelParams, grads: Gradients) -> tuple[tuple[np.ndarr
 def dense_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, np.ndarray]:
     """Analytic gradient of the training loss, expanded from the compact
     buffer into dense arrays that are zero outside the touched rows."""
-    grads = Gradients.for_batch(batch, model)
-    loss_and_grad(model, batch, hp, grads)
+    arena = arena_for(model, batch)
+    grads = Gradients.for_batch(batch, model, arena)
+    loss_and_grad(model, batch, hp, arena, grads)
     out = {}
     for name, param, (rows, g) in zip(GRAD_NAMES, model.arrays(), gradient_parts(model, grads)):
         out[name] = np.zeros_like(param)
@@ -93,6 +101,7 @@ def add_at_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, 
 def fd_gradients(model: ModelParams, batch: TrainingBatch, hp, h: float = 1e-6) -> dict[str, np.ndarray]:
     """Central finite differences of the training loss, touched rows only."""
     ent_rows, rel_rows = touched_ids(batch)
+    arena = arena_for(model, batch)
     out = {
         "ent_re": np.zeros_like(model.ent_re),
         "ent_im": np.zeros_like(model.ent_im),
@@ -107,9 +116,9 @@ def fd_gradients(model: ModelParams, batch: TrainingBatch, hp, h: float = 1e-6) 
             for j in range(model.k):
                 orig = arr[i, j]
                 arr[i, j] = orig + h
-                f_plus = loss_and_grad(model, batch, hp)
+                f_plus = loss_and_grad(model, batch, hp, arena)
                 arr[i, j] = orig - h
-                f_minus = loss_and_grad(model, batch, hp)
+                f_minus = loss_and_grad(model, batch, hp, arena)
                 arr[i, j] = orig
                 out[name][i, j] = (f_plus - f_minus) / (2.0 * h)
     return out

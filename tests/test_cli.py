@@ -241,6 +241,7 @@ def test_malformed_config_value_exits_one(capsys, world):
     ("synth", "config", {"generator": {"n_contexts": "5"}}, "n_contexts"),
     ("synth", "config", {"generator": {"attrs_per_context": [3.5, 4]}}, "attrs_per_context"),
     ("synth", "config", {"generator": {"domain_pool": "iot"}}, "domain_pool"),
+    ("synth", "config", {"generator": {"weight_range": [0.1, 1.0]}}, "weight_range"),
     ("baseline", "config", {"baseline": {"p": "1"}}, "p must be a number"),
     ("baseline", "config", {"baseline": {"threshold": "0.5"}}, "threshold must be a number"),
     ("baseline", "config", {"baseline": {"epochs": 1.5}}, "epochs"),
@@ -251,9 +252,9 @@ def test_malformed_config_value_exits_one(capsys, world):
     ("plan", "config", {"hyperparams": {"margin": "1"}}, "margin must be a number"),
     ("plan", "context", {"domain": 7}, "domain"),
     ("plan", "context", {"org_standards": "ISO 8000"}, "org_standards"),
-], ids=["n_contexts-string", "attrs-float", "domain_pool-string", "p-string", "threshold-string",
-        "epochs-float", "baseline-number", "tau-string", "top_m-float", "focuse-string",
-        "margin-string", "domain-number", "org_standards-string"])
+], ids=["n_contexts-string", "attrs-float", "domain_pool-string", "weight_range-removed",
+        "p-string", "threshold-string", "epochs-float", "baseline-number", "tau-string",
+        "top_m-float", "focuse-string", "margin-string", "domain-number", "org_standards-string"])
 def test_malformed_document_exits_one(capsys, world, command, kind, doc, named):
     tmp_path, graph_path, ctx_path = world
     if kind == "context":

@@ -7,6 +7,7 @@ from qakge.training import Hyperparams, loss_and_grad
 from .helpers import (
     GRAD_NAMES,
     add_at_gradients,
+    arena_for,
     dense_gradients,
     fd_gradients,
     gradient_parts,
@@ -61,8 +62,9 @@ def test_compact_gradients_equal_add_at_oracle_bit_for_bit():
     assert any(b.beta == 0.0 and (b.pos_weights == 0.0).any() for _, b, _ in cases)
 
     for model, batch, hp in cases:
-        grads = Gradients.for_batch(batch, model)
-        loss_and_grad(model, batch, hp, grads)
+        arena = arena_for(model, batch)
+        grads = Gradients.for_batch(batch, model, arena)
+        loss_and_grad(model, batch, hp, arena, grads)
         oracle = add_at_gradients(model, batch, hp)
         ent_rows, rel_rows = touched_ids(batch)
         assert np.array_equal(grads.ent_rows, ent_rows)

@@ -4,7 +4,6 @@ import pytest
 from qakge.errors import InputError
 from qakge.model import (
     ModelParams,
-    complex_score,
     init_model,
     score_all_objects,
     score_all_subjects,
@@ -64,11 +63,13 @@ def test_entity_and_relation_rows_are_views_of_one_block(tmp_path):
         assert model.block[n, 3] == model.rel[0, 3] == model.rel_re[0, 3] - 3.0j
 
 
+def _score(model, s, p, o) -> float:
+    return float(score_triples(model, np.array([[s, p, o]]))[0])
+
+
 def test_score_matches_python_complex_arithmetic(model8):
     for s, p, o in [(0, 0, 1), (3, 2, 7), (5, 1, 5)]:
-        assert complex_score(model8, (s, p, o)) == pytest.approx(
-            score_py(model8, s, p, o), rel=1e-12
-        )
+        assert _score(model8, s, p, o) == pytest.approx(score_py(model8, s, p, o), rel=1e-12)
 
 
 def test_score_hand_computed_single_component():
@@ -78,22 +79,18 @@ def test_score_hand_computed_single_component():
     m.rel_re[0, 0], m.rel_im[0, 0] = 0.5, -1.0    # w_p = 0.5 - i
     m.ent_re[1, 0], m.ent_im[1, 0] = -1.0, 4.0    # e_o = -1 + 4i
     # (2+3i)(0.5-i) = 4 - 0.5i; (4-0.5i) * conj(-1+4i) = -6 - 15.5i; Re = -6
-    assert complex_score(m, (0, 0, 1)) == pytest.approx(-6.0, abs=1e-12)
+    assert _score(m, 0, 0, 1) == pytest.approx(-6.0, abs=1e-12)
 
 
 def test_score_asymmetric_in_general(model8):
     # complex relation embeddings make direction matter
-    assert complex_score(model8, (0, 0, 1)) != pytest.approx(
-        complex_score(model8, (1, 0, 0)), abs=1e-9
-    )
+    assert _score(model8, 0, 0, 1) != pytest.approx(_score(model8, 1, 0, 0), abs=1e-9)
 
 
 def test_symmetric_when_relation_imaginary_zero():
     m = random_model(6, 2, k=5, seed=2)
     m.rel_im[0][:] = 0.0  # purely real relation scores symmetrically
-    assert complex_score(m, (2, 0, 4)) == pytest.approx(
-        complex_score(m, (4, 0, 2)), rel=1e-12
-    )
+    assert _score(m, 2, 0, 4) == pytest.approx(_score(m, 4, 0, 2), rel=1e-12)
 
 
 def test_vectorized_scoring_agrees_with_scalar(model8):
@@ -102,7 +99,7 @@ def test_vectorized_scoring_agrees_with_scalar(model8):
                     rng.integers(0, 8, 30)], axis=1)
     vec = score_triples(model8, idx)
     for row, expected in zip(idx, vec):
-        assert complex_score(model8, tuple(row)) == pytest.approx(expected, rel=1e-12)
+        assert score_py(model8, *row) == pytest.approx(expected, rel=1e-12)
 
 
 def test_score_all_sides_agree_with_loops(model8):
@@ -113,9 +110,3 @@ def test_score_all_sides_agree_with_loops(model8):
         assert objs[e] == pytest.approx(score_py(model8, 2, 1, e), rel=1e-12)
         assert subs[e] == pytest.approx(score_py(model8, e, 1, 3), rel=1e-12)
 
-
-def test_score_index_bounds(model8):
-    with pytest.raises(InputError):
-        complex_score(model8, (99, 0, 0))
-    with pytest.raises(InputError):
-        complex_score(model8, (0, 99, 0))

@@ -22,7 +22,7 @@ from qakge.objective import (
 )
 from qakge.training import Hyperparams, loss_and_grad
 
-from .helpers import modulated, random_batch, small_vocab
+from .helpers import arena_for, modulated, random_batch, small_vocab
 
 
 def _zero_model(n_entities: int, k: int):
@@ -52,7 +52,7 @@ def _hinge(g_pos, g_neg, margin: float) -> float:
     triples = np.array([[0, 0, j] for j in range(1, len(g) + 1)], dtype=np.int64)
     b = len(g_pos)
     batch = TrainingBatch(triples[:b], np.ones(b), triples[b:], len(g_neg) // b, 1.0)
-    return hinge_part(model, batch, margin)
+    return hinge_part(model, batch, margin, block_slots(batch, model.vocab), arena_for(model, batch))
 
 
 def _penalty(row, p: int, lam: float) -> float:
@@ -64,7 +64,7 @@ def _penalty(row, p: int, lam: float) -> float:
     for arr, values in zip(model.arrays(), row):
         arr[0] = values
     model.ent_re[1] = model.ent_im[1] = 100.0
-    return regularizer_part(model, np.array([0]), np.array([2]), p, lam)
+    return regularizer_part(model, np.array([0]), np.array([2]), p, lam, arena_for(model))
 
 
 def test_softplus_values_and_stability():
@@ -170,8 +170,9 @@ def test_regularizer_part_low_powers_at_zero_and_negative_values():
         for arr, values in zip(model.arrays(), row):
             arr[0] = values
         pos = np.array([[0, 0, 0]], dtype=np.int64)
-        grads = Gradients.for_batch(TrainingBatch(pos, np.ones(1), pos, 1, 1.0), model)
-        assert regularizer_part(model, np.array([0]), np.array([2]), p, lam, grads) == loss, p
+        arena = arena_for(model)
+        grads = Gradients.for_batch(TrainingBatch(pos, np.ones(1), pos, 1, 1.0), model, arena)
+        assert regularizer_part(model, np.array([0]), np.array([2]), p, lam, arena, grads) == loss, p
         assert grads.values[:1].real.tolist() == [d_re], p
         assert grads.values[:1].imag.tolist() == [d_im], p
         assert (grads.values[1:] == 0.0).all(), p
@@ -214,19 +215,21 @@ def test_out_of_range_ids_raise_index_error(model8):
     cases += [(good_pos, bad) for bad in ([[8, 0, 1]], [[2, 0, -1]], [[2, 3, 1]])]
     for pos, neg in cases:
         batch = TrainingBatch(np.array(pos), np.ones(1), np.array(neg), 1, 0.5)
+        arena = arena_for(model8, batch)
         with pytest.raises(IndexError):
-            Gradients.for_batch(batch, model8)
+            Gradients.for_batch(batch, model8, arena)
         for lam in (1e-3, 0.0):  # the loss alone, with and without the penalty
             with pytest.raises(IndexError):
-                loss_and_grad(model8, batch, Hyperparams(k=4, reg_lambda=lam))
+                loss_and_grad(model8, batch, Hyperparams(k=4, reg_lambda=lam), arena)
 
 
 def test_loss_and_grad_is_finite_and_deterministic(model8):
     rng = np.random.default_rng(5)
     batch = random_batch(8, 3, rng)
     hp = Hyperparams(k=4, reg_lambda=1e-3)
-    a = loss_and_grad(model8, batch, hp)
-    b = loss_and_grad(model8, batch, hp)
+    arena = arena_for(model8, batch)
+    a = loss_and_grad(model8, batch, hp, arena)
+    b = loss_and_grad(model8, batch, hp, arena)
     assert a == b
     assert np.isfinite(a) and a >= 0.0
 
@@ -235,10 +238,11 @@ def test_loss_is_the_same_with_and_without_gradients(model8):
     rng = np.random.default_rng(6)
     for beta in (0.0, 0.3, 1.0):
         batch = random_batch(8, 3, rng, beta=beta)
+        arena = arena_for(model8, batch)
         for hp in (Hyperparams(k=4, reg_lambda=1e-3), Hyperparams(k=4, reg_lambda=0.0)):
-            grads = Gradients.for_batch(batch, model8)
-            with_grads = loss_and_grad(model8, batch, hp, grads)
-            assert with_grads == loss_and_grad(model8, batch, hp)
+            grads = Gradients.for_batch(batch, model8, arena)
+            with_grads = loss_and_grad(model8, batch, hp, arena, grads)
+            assert with_grads == loss_and_grad(model8, batch, hp, arena)
             assert np.abs(grads.values).max() > 0.0
 
 

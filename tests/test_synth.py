@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qakge.contexts import extract_plan, from_json_object, triples_to_context
@@ -8,6 +10,7 @@ from qakge.synth import (
     QUALITY_DIMENSIONS,
     QUALITY_MEASURES,
     REL_KIND,
+    WEIGHT_RANGE,
     GeneratorConfig,
     build_radiation_scenario,
     generate_synthetic_graph,
@@ -32,8 +35,6 @@ def test_config_validation():
         GeneratorConfig(n_contexts=0)
     with pytest.raises(InputError):
         GeneratorConfig(attrs_per_context=(5, 3))
-    with pytest.raises(InputError):
-        GeneratorConfig(weight_range=(0.0, 1.5))
     with pytest.raises(InputError, match="bogus"):
         from_json_object(GeneratorConfig, {"bogus": 1}, "generator config")
     cfg = from_json_object(GeneratorConfig, {"n_contexts": 4, "seed": 2}, "generator config")
@@ -84,12 +85,29 @@ def test_contexts_round_trip_from_graph():
 
 
 def test_plan_weights_in_configured_range():
-    cfg = GeneratorConfig(n_contexts=3, seed=1, weight_range=(0.3, 0.6))
-    _, plans = generate_synthetic_graph(cfg)
+    lo, hi = WEIGHT_RANGE
+    assert (lo, hi) == (0.1, 1.0)
+    _, plans = generate_synthetic_graph(GeneratorConfig(n_contexts=3, seed=1))
     for plan in plans:
         for e in plan.rule_edges + plan.dimension_edges:
-            assert 0.3 <= e.weight <= 0.6
+            assert lo <= e.weight <= hi
             assert e.weight == round(e.weight, 4)
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: generate_synthetic_graph(GeneratorConfig())[0],
+     "d789a3917f870e86e0978058d9bc9af6d55c85c35ee1da61641afa37b910e4d0"),
+    (lambda: generate_synthetic_graph(
+        GeneratorConfig(n_contexts=12, seed=11, attrs_per_context=(3, 8)))[0],
+     "6eed5ce177423887e0a192c0b47c066f7753793a0d6fd2fd35b2da0edf7f1e8f"),
+    (lambda: build_radiation_scenario().graph,
+     "1aaa88278327b52ffc9b313be1d4f0ffb4ff7ac6d8fffa5e8a3a14f5c7e261b1"),
+], ids=["default", "heldout-plan", "radiation"])
+def test_corpora_are_pinned(tmp_path, make, digest):
+    """The CSV bytes of the corpora the tests and the benchmark train on;
+    a change to the generator that moves them retunes every result."""
+    save_triples_csv(make(), tmp_path / "graph.csv")
+    assert hashlib.sha256((tmp_path / "graph.csv").read_bytes()).hexdigest() == digest
 
 
 def test_radiation_fixtures():

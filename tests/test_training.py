@@ -14,7 +14,7 @@ from qakge import training
 from qakge.training import Hyperparams, beta_value, loss_and_grad, train
 from qakge.triples import Vocabulary
 
-from .helpers import gradient_parts, toy_graph, touched_ids
+from .helpers import arena_for, gradient_parts, toy_graph, touched_ids
 
 SMALL = Hyperparams(k=6, eta=2, batch_size=16, learning_rate=1e-3, epochs=4, seed=3)
 
@@ -151,10 +151,10 @@ def test_fold_in_gradients_hold_no_frozen_row(monkeypatch):
     sub = Vocabulary.from_names(graph.vocab.entities[2:], graph.vocab.relations[1:])
     seen = []
 
-    def spy(model, batch, hp, grads=None, arena=None):
+    def spy(model, batch, hp, arena, grads=None):
         rel_ids = grads.rel_rows - model.vocab.n_entities
         seen.append((grads.ent_rows.copy(), rel_ids, touched_ids(batch)))
-        return loss_and_grad(model, batch, hp, grads, arena)
+        return loss_and_grad(model, batch, hp, arena, grads)
 
     monkeypatch.setattr(training, "loss_and_grad", spy)
     train(graph, SMALL, base=init_model(sub, SMALL.k, seed=999))
@@ -171,11 +171,12 @@ def test_fold_in_with_every_relation_frozen_skips_the_relation_terms(monkeypatch
     fresh = np.arange(graph.vocab.n_entities) < 3
     checked = []
 
-    def spy(model, batch, hp, grads=None, arena=None):
-        loss = loss_and_grad(model, batch, hp, grads, arena)
+    def spy(model, batch, hp, arena, grads=None):
+        loss = loss_and_grad(model, batch, hp, arena, grads)
+        own = arena_for(model, batch)  # the step's arena holds its gradients
         live = Gradients.for_batch(
-            batch, model, np.concatenate([fresh, np.ones(graph.vocab.n_relations, bool)]))
-        loss_and_grad(model, batch, hp, live)
+            batch, model, own, np.concatenate([fresh, np.ones(graph.vocab.n_relations, bool)]))
+        loss_and_grad(model, batch, hp, own, live)
         assert grads.values.shape == (grads.n_ent, hp.k) and len(grads.rel_rows) == 0
         assert np.array_equal(grads.ent_rows, live.ent_rows)
         assert (grads.values == live.values[: live.n_ent]).all()
@@ -198,17 +199,17 @@ def _poisoned(monkeypatch):
 
     class PoisonedGradients(Gradients):
         @classmethod
-        def for_batch(cls, batch, model, trainable=None, arena=None):
+        def for_batch(cls, batch, model, arena, trainable=None):
             poison(arena, arena.grads)
-            return Gradients.for_batch(batch, model, trainable, arena)
+            return Gradients.for_batch(batch, model, arena, trainable)
 
-    def penalty(model, ent_rows, rel_rows, p, lam, grads=None, arena=None):
+    def penalty(model, ent_rows, rel_rows, p, lam, arena, grads=None):
         poison(arena)
-        return regularizer_part(model, ent_rows, rel_rows, p, lam, grads, arena)
+        return regularizer_part(model, ent_rows, rel_rows, p, lam, arena, grads)
 
     step = training._Adam.step
 
-    def adam_step(self, model, grads, arena=None):
+    def adam_step(self, model, grads, arena):
         poison(arena)
         return step(self, model, grads, arena)
 
@@ -235,13 +236,14 @@ def test_adam_step_leaves_untouched_rows_and_corrects_with_the_global_count():
     model = init_model(Vocabulary.from_names([f"e{i}" for i in range(5)], ["r0", "r1"]), 3, seed=1)
     adam = training._Adam(model, lr=0.01)
     rng = np.random.default_rng(4)
+    arena = arena_for(model)
 
     def step(pos, neg):
         batch = TrainingBatch(np.array(pos), np.ones(len(pos)), np.array(neg), 1, 1.0)
-        grads = Gradients.for_batch(batch, model)
+        grads = Gradients.for_batch(batch, model, arena)
         for _, g in gradient_parts(model, grads):
             g[:] = rng.normal(size=g.shape)
-        adam.step(model, grads)
+        adam.step(model, grads, arena)
         return grads
 
     step([[0, 0, 1]], [[0, 0, 2]])  # entities 0-2 and relation 0
