@@ -33,7 +33,7 @@ from .errors import (
     VocabMismatchError,
     ZeroVectorError,
 )
-from .evaluation import EvalMetrics, aggregate_ranks, evaluate, ranking_metrics, validation_loss
+from .evaluation import EvalMetrics, aggregate_ranks, evaluate, validation_loss
 from .gridsearch import grid_search
 from .model import ModelParams, init_model, score_triples
 from .node2vec import (
@@ -120,7 +120,6 @@ __all__ = [
     "plan_from_dict",
     "plan_to_dict",
     "profile_dataset",
-    "ranking_metrics",
     "save_checkpoint",
     "save_triples_csv",
     "score_triples",

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import numbers
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -21,6 +20,8 @@ from .contexts import (
     context_to_dict,
     context_to_triples,
     from_json_object,
+    is_integer,
+    is_number,
     load_json,
     plan_from_dict,
     plan_to_dict,
@@ -54,11 +55,11 @@ class PlannerConfig:
     top_m: int = 3
 
     def __post_init__(self):
-        if not isinstance(self.tau, numbers.Real):
+        if not is_number(self.tau):
             raise InputError(f"planner tau must be a number, got {self.tau!r}")
         if not 0.0 <= self.tau <= 1.0:
             raise InputError(f"planner tau must lie in [0, 1], got {self.tau}")
-        if not isinstance(self.top_m, numbers.Integral):
+        if not is_integer(self.top_m):
             raise InputError(f"planner top_m must be an integer, got {self.top_m!r}")
         if self.top_m < 1:
             raise InputError(f"planner top_m must be >= 1, got {self.top_m}")

@@ -387,7 +387,7 @@ def _plan_edge_from_dict(cls, doc):
     *ends, weight = (getattr(edge, f.name) for f in fields(cls))
     if not all(isinstance(end, str) and end for end in ends):
         raise InputError(f"plan edge ends must be non-empty strings, got {ends!r}")
-    if not (isinstance(weight, numbers.Real) and 0.0 <= weight <= 1.0):
+    if not (is_number(weight) and 0.0 <= weight <= 1.0):
         raise InputError(f"plan edge weight must be a number in [0, 1], got {weight!r}")
     return edge
 
@@ -432,6 +432,16 @@ def from_json_object(cls, doc, what: str):
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed {what}: {exc}") from exc
+
+
+def is_integer(value) -> bool:
+    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether a JSON value is a real number; ``true`` and ``false`` are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def is_list_of(value, kind) -> bool:

@@ -4,12 +4,16 @@ Each test triple is ranked twice, once per corruption side, against every
 entity in the model's vocabulary. The filtered protocol removes candidates
 that would re-create a different known-positive triple, so the model is not
 punished for preferring another true fact.
+
+:func:`evaluate` is the one ranking entry point. It ranks the split in
+blocks of queries, each scored against every entity by one matrix product.
+A block holds at most ``BLOCK_SCORES`` scores, so memory grows with neither
+the split nor the graph.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -22,13 +26,16 @@ from .triples import TripleGraph
 
 PROTOCOLS = ("raw", "filtered")
 
-DEFAULT_HITS = (1, 3, 10)
+HITS = (1, 3, 10)
+
+SIDES = ("object", "subject")  # the corrupted side, in record order
+
+# scores one ranking block holds (512 KiB of float64)
+BLOCK_SCORES = 1 << 16
 
 
-def aggregate_ranks(
-    ranks: Iterable[int], hits_at: tuple[int, ...] = DEFAULT_HITS
-) -> dict[str, float | dict[int, float]]:
-    """MRR, MR and Hits@N over a list of ranks."""
+def aggregate_ranks(ranks: Iterable[int]) -> dict[str, float | dict[int, float]]:
+    """MRR, MR and Hits@1/3/10 over a list of ranks."""
     arr = np.asarray(list(ranks), dtype=np.float64)
     if arr.size == 0:
         raise InputError("cannot aggregate an empty rank list")
@@ -37,73 +44,49 @@ def aggregate_ranks(
     return {
         "mrr": float(np.mean(1.0 / arr)),
         "mr": float(np.mean(arr)),
-        "hits": {n: float(np.mean(arr <= n)) for n in hits_at},
+        "hits": {n: float(np.mean(arr <= n)) for n in HITS},
     }
 
 
-def _rank_from_scores(scores: np.ndarray, true_idx: int, excluded: np.ndarray | None) -> int:
-    """Competition rank with half-up tie splitting.
-
-    rank = 1 + #{strictly better} + round_half_up(#{tied others} / 2).
-    """
-    s_true = scores[true_idx]
-    valid = np.ones(scores.shape[0], dtype=bool)
-    if excluded is not None and excluded.size:
-        valid[excluded] = False
-    valid[true_idx] = False
-    n_greater = int(np.count_nonzero(scores[valid] > s_true))
-    n_equal = int(np.count_nonzero(scores[valid] == s_true))
-    return 1 + n_greater + int(math.floor(n_equal / 2.0 + 0.5))
-
-
-def _known_sets(
-    known: Iterable[tuple[str, str, str]], model: ModelParams
-) -> tuple[dict[tuple[int, int], list[int]], dict[tuple[int, int], list[int]]]:
-    """Index the filter sets: (s, p) -> known objects, (p, o) -> known subjects."""
-    by_sp: dict[tuple[int, int], list[int]] = {}
-    by_po: dict[tuple[int, int], list[int]] = {}
+def _known_ids(known: Iterable[tuple[str, str, str]], model: ModelParams) -> np.ndarray:
+    """The known positives as an (M, 3) id array. Facts outside the model's
+    world cannot affect candidate ranks, so they are dropped."""
     e_idx, r_idx = model.vocab.entity_index, model.vocab.relation_index
-    for s_name, p_name, o_name in known:
-        s, p, o = e_idx.get(s_name), r_idx.get(p_name), e_idx.get(o_name)
-        if s is None or p is None or o is None:
-            continue  # facts outside the model's world cannot affect candidate ranks
-        by_sp.setdefault((s, p), []).append(o)
-        by_po.setdefault((p, o), []).append(s)
-    return by_sp, by_po
+    ids = [(e_idx.get(s), r_idx.get(p), e_idx.get(o)) for s, p, o in known]
+    return np.array([t for t in ids if None not in t], dtype=np.int64).reshape(-1, 3)
 
 
-def _resolve(model: ModelParams, triple: tuple[str, str, str]) -> tuple[int, int, int]:
-    s_name, p_name, o_name = triple
-    try:
-        return (
-            model.vocab.entity_index[s_name],
-            model.vocab.relation_index[p_name],
-            model.vocab.entity_index[o_name],
-        )
-    except KeyError as exc:
-        raise InputError(f"symbol not in model vocabulary: {exc.args[0]!r}") from exc
-
-
-def _rank_side(
-    model: ModelParams,
-    s: int,
-    p: int,
-    o: int,
-    side: str,
-    by_sp: Mapping[tuple[int, int], list[int]],
-    by_po: Mapping[tuple[int, int], list[int]],
-    filtered: bool,
-) -> int:
-    """Rank of the true entity when ``side`` of (s, p, o) is replaced by
-    every entity; filtered ranking skips the other known positives."""
+def _side_ranks(model: ModelParams, idx: np.ndarray, side: str, known: np.ndarray) -> np.ndarray:
+    """Rank of the true entity of each (s, p, o) row of ``idx`` when ``side``
+    is replaced by every entity but the other ``known`` answers to its query:
+    1 + #{strictly better} + round_half_up(#{tied others} / 2)."""
     if side == "object":
-        scores, true_idx, known = score_all_objects(model, s, p), o, by_sp.get((s, p), ())
+        score_all, (a, b), truth = score_all_objects, (0, 1), 2
     else:
-        scores, true_idx, known = score_all_subjects(model, p, o), s, by_po.get((p, o), ())
-    excluded = None
-    if filtered:
-        excluded = np.array([e for e in known if e != true_idx], dtype=np.int64)
-    return _rank_from_scores(scores, true_idx, excluded)
+        score_all, (a, b), truth = score_all_subjects, (1, 2), 0
+    width = model.block.shape[0]  # above every id, so a * width + b names a query
+    key = known[:, a] * width + known[:, b]
+    order = np.argsort(key, kind="stable")
+    known_keys, known_answers = key[order], known[order, truth]
+    rows = max(1, BLOCK_SCORES // model.vocab.n_entities)
+    ranks = np.empty(len(idx), dtype=np.int64)
+    for start in range(0, len(idx), rows):
+        block = idx[start : start + rows]
+        scores = score_all(model, block[:, a], block[:, b])
+        at, true_idx = np.arange(len(block)), block[:, truth]
+        s_true = scores[at, true_idx]
+        # query i's known answers are known_answers[lo[i] : lo[i] + n_known[i]]
+        keys = block[:, a] * width + block[:, b]
+        lo = np.searchsorted(known_keys, keys)
+        n_known = np.searchsorted(known_keys, keys, side="right") - lo
+        offset = np.repeat(lo - (np.cumsum(n_known) - n_known), n_known)
+        answers = known_answers[offset + np.arange(n_known.sum())]
+        scores[np.repeat(at, n_known), answers] = -np.inf
+        scores[at, true_idx] = s_true  # the test triple itself stays a candidate
+        n_greater = np.count_nonzero(scores > s_true[:, None], axis=1)
+        n_tied = np.count_nonzero(scores == s_true[:, None], axis=1) - 1
+        ranks[start : start + len(block)] = 1 + n_greater + (n_tied + 1) // 2
+    return ranks
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +100,7 @@ class RankRecord:
 
 @dataclass
 class EvalMetrics:
-    loss: float
+    loss: float | None  # None unless evaluate was given the hyperparameters
     mrr: float
     mr: float
     hits: dict[int, float]
@@ -160,56 +143,39 @@ def validation_loss(model: ModelParams, graph: TripleGraph, hp: Hyperparams) -> 
     return total / len(graph)
 
 
-def ranking_metrics(
+def evaluate(
     model: ModelParams,
     test_graph: TripleGraph,
     known_positives: TripleGraph | Iterable[tuple[str, str, str]],
-    hits_at: tuple[int, ...] = DEFAULT_HITS,
     protocol: str = "filtered",
-) -> tuple[list[RankRecord], dict]:
+    *,
+    hp: Hyperparams | None = None,
+) -> EvalMetrics:
     """Rank every test triple on both sides and aggregate.
 
-    Returns the rank records and a dict of ``mrr``, ``mr``, ``hits`` and
-    ``per_relation_mrr``. ``known_positives`` should contain all facts
-    treated as true (typically train + test) when the protocol is filtered.
+    Records come in test order, the object side before the subject side.
+    ``known_positives`` should contain all facts treated as true (typically
+    train + test) when the protocol is filtered. ``loss`` is the
+    :func:`validation_loss` of the test triples under ``hp``, the settings
+    the model was trained with, and None when ``hp`` is not given.
     """
     if protocol not in PROTOCOLS:
         raise InputError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    if len(test_graph.triples) == 0:
+    if len(test_graph) == 0:
         raise InputError("empty test set")
-    if any(n < 1 for n in hits_at):
-        raise InputError(f"hits_at cutoffs must be >= 1, got {hits_at}")
+    idx, _ = test_graph.index_arrays(model.vocab)
     known = known_positives.keys() if isinstance(known_positives, TripleGraph) else known_positives
-    filtered = protocol == "filtered"
-    by_sp, by_po = _known_sets(known, model) if filtered else ({}, {})
-
-    records: list[RankRecord] = []
-    for t in test_graph.triples:
-        s, p, o = _resolve(model, t.key)
-        for side in ("object", "subject"):
-            rank = _rank_side(model, s, p, o, side, by_sp, by_po, filtered)
-            records.append(RankRecord(t.source, t.relation, t.target, side, rank))
+    known_ids = _known_ids(known, model) if protocol == "filtered" else np.empty((0, 3), np.int64)
+    ranks = np.column_stack([_side_ranks(model, idx, side, known_ids) for side in SIDES])
+    records = [RankRecord(t.source, t.relation, t.target, side, rank)
+               for t, pair in zip(test_graph.triples, ranks.tolist())
+               for side, rank in zip(SIDES, pair)]
 
     by_relation: dict[str, list[float]] = {}
     for r in records:
         by_relation.setdefault(r.relation, []).append(1.0 / r.rank)
     per_relation = {rel: float(np.mean(vals)) for rel, vals in sorted(by_relation.items())}
-    return records, {**aggregate_ranks([r.rank for r in records], hits_at),
-                     "per_relation_mrr": per_relation}
-
-
-def evaluate(
-    model: ModelParams,
-    test_graph: TripleGraph,
-    known_positives: TripleGraph | Iterable[tuple[str, str, str]],
-    hits_at: tuple[int, ...] = DEFAULT_HITS,
-    protocol: str = "filtered",
-    *,
-    hp: Hyperparams | None = None,
-) -> EvalMetrics:
-    """:func:`ranking_metrics` plus the :func:`validation_loss` of the test
-    triples under ``hp`` (the default hyperparameters when None)."""
-    records, summary = ranking_metrics(model, test_graph, known_positives, hits_at, protocol)
-    loss = validation_loss(model, test_graph, hp if hp is not None else Hyperparams())
-    return EvalMetrics(loss=loss, n_test=len(test_graph.triples), protocol=protocol,
-                       ranks=records, **summary)
+    loss = validation_loss(model, test_graph, hp) if hp is not None else None
+    return EvalMetrics(loss=loss, n_test=len(test_graph), protocol=protocol, ranks=records,
+                       per_relation_mrr=per_relation,
+                       **aggregate_ranks(r.rank for r in records))

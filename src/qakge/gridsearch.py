@@ -4,11 +4,11 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Any, Mapping, Sequence
 
 from .errors import InputError
-from .evaluation import ranking_metrics
+from .evaluation import evaluate
 from .training import Hyperparams, train
 from .triples import TripleGraph
 
@@ -26,11 +26,11 @@ def grid_search(
 
     ``grid`` maps hyperparameter field names to candidate value lists;
     combinations are enumerated in dict insertion order (last key varies
-    fastest). Every combination trains for exactly ``budget_epochs`` so
-    scores are comparable. Each model is scored by filtered MRR on
-    ``valid_graph``, with train and validation triples as the known
-    positives; the validation loss is not a fair score, because it grows
-    with the ``margin`` and ``eta`` being searched. Returns the winning full
+    fastest). Every combination trains for exactly ``budget_epochs``, so
+    scores are comparable and ``epochs`` cannot be searched. Each model is
+    scored by filtered MRR on ``valid_graph``, with train and validation
+    triples as the known positives; the validation loss is not a fair
+    score, because it grows with the ``margin`` and ``eta`` being searched. Returns the winning full
     config plus a leaderboard sorted by MRR, highest first (ties keep
     enumeration order).
     """
@@ -39,6 +39,11 @@ def grid_search(
     for name, values in grid.items():
         if not values:
             raise InputError(f"empty candidate list for {name!r}")
+    unknown = [name for name in grid if name not in {f.name for f in fields(Hyperparams)}]
+    if unknown:
+        raise InputError(f"unknown hyperparameter in grid: {', '.join(map(repr, unknown))}")
+    if "epochs" in grid:
+        raise InputError("epochs cannot be searched: every combination trains for budget_epochs")
     if budget_epochs < 1:
         raise InputError(f"budget_epochs must be >= 1, got {budget_epochs}")
     if len(valid_graph) == 0:
@@ -51,13 +56,10 @@ def grid_search(
     rows: list[dict] = []
     for combo_no, values in enumerate(combos):
         combo = dict(zip(names, values))
-        try:
-            hp = replace(base, **combo, epochs=budget_epochs)
-        except TypeError as exc:
-            raise InputError(f"unknown hyperparameter in grid: {exc}") from None
+        hp = replace(base, **combo, epochs=budget_epochs)
         t0 = time.perf_counter()
         model, _ = train(train_graph, hp)
-        mrr = ranking_metrics(model, valid_graph, known)[1]["mrr"]
+        mrr = evaluate(model, valid_graph, known).mrr
         elapsed = time.perf_counter() - t0
         logger.info("grid %d/%d: %s -> val_mrr %.6f (%.1fs)",
                     combo_no + 1, len(combos), combo, mrr, elapsed)

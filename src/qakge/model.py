@@ -20,8 +20,9 @@ rows of both kinds at once. ``ent`` and ``rel`` are row views of the block.
 Its float64 view ``z.view(np.float64)`` interleaves real and imaginary
 parts, so Re(a * conj(b)) of two complex vectors is the dot product of their
 float views, and scoring one query against every entity is one
-matrix-vector product over contiguous memory. A strided ``.real`` view
-would make BLAS copy or fall back to a slower loop.
+matrix-vector product over contiguous memory (a block of queries is one
+matrix product). A strided ``.real`` view would make BLAS copy or fall
+back to a slower loop.
 """
 from __future__ import annotations
 
@@ -114,13 +115,16 @@ def score_triples(model: ModelParams, idx: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", sp.view(np.float64), model.ent[idx[:, 2]].view(np.float64))
 
 
-def score_all_objects(model: ModelParams, s: int, p: int) -> np.ndarray:
-    """Scores of (s, p, e) for every entity e, as an (n_entities,) array."""
-    # f(o) = Re(a * conj(e_o)) with a = e_s * w_p
-    return model.ent.view(np.float64) @ (model.ent[s] * model.rel[p]).view(np.float64)
+def score_all_objects(model: ModelParams, s, p) -> np.ndarray:
+    """Scores of (s, p, e) for every entity e: an (n_entities,) array for one
+    query, or a (len(s), n_entities) array, a row per query, for id arrays."""
+    # f(o) = Re(a * conj(e_o)) with a = e_s * w_p; the transposes are no-ops on one query
+    a = model.ent[s] * model.rel[p]
+    return (model.ent.view(np.float64) @ a.view(np.float64).T).T
 
 
-def score_all_subjects(model: ModelParams, p: int, o: int) -> np.ndarray:
-    """Scores of (e, p, o) for every entity e."""
+def score_all_subjects(model: ModelParams, p, o) -> np.ndarray:
+    """Scores of (e, p, o) for every entity e, shaped as in :func:`score_all_objects`."""
     # f(s) = Re(e_s * conj(c)) with c = conj(w_p) * e_o
-    return model.ent.view(np.float64) @ (np.conj(model.rel[p]) * model.ent[o]).view(np.float64)
+    c = np.conj(model.rel[p]) * model.ent[o]
+    return (model.ent.view(np.float64) @ c.view(np.float64).T).T

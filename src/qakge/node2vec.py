@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .contexts import REL_SCHEMA, AssessmentPlan, ContextDescriptor, extract_plan
+from .contexts import (
+    REL_SCHEMA, AssessmentPlan, ContextDescriptor, extract_plan, is_integer, is_number,
+)
 from .errors import InputError, NoMatchError, ZeroVectorError
 from .objective import scatter_rows
 from .triples import TripleGraph
@@ -247,7 +248,9 @@ def embed_graph(
     config: "BaselineConfig | None" = None,
     seed: int = 0,
 ) -> NodeEmbeddings:
-    """Convenience wrapper: walks then skip-gram with one config."""
+    """Convenience wrapper: walks then skip-gram with one config and seed."""
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     cfg = config if config is not None else BaselineConfig()
     walks = generate_walks(
         graph, cfg.walks_per_node, cfg.walk_length, cfg.p, cfg.q, seed=seed
@@ -318,7 +321,7 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         for name in ("p", "q", "learning_rate", "threshold"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if not is_number(value):
                 raise InputError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value!r}")
@@ -326,7 +329,7 @@ class BaselineConfig:
             raise InputError("p and q must be positive")
         sizes = (self.walks_per_node, self.walk_length, self.d, self.window,
                  self.negatives, self.epochs)
-        if not all(isinstance(v, numbers.Integral) for v in sizes):
+        if not all(map(is_integer, sizes)):
             raise InputError("walks_per_node, walk_length, d, window, negatives and epochs "
                              "must all be integers")
         if min(sizes) < 1:

@@ -9,7 +9,6 @@ runs with the same config produce byte-identical CSV output.
 """
 from __future__ import annotations
 
-import numbers
 import random
 import zlib
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from .contexts import (
     DimensionEdge,
     RuleEdge,
     context_to_triples,
+    is_integer,
     is_list_of,
     plan_to_triples,
 )
@@ -166,12 +166,13 @@ class GeneratorConfig:
     format_pool: tuple[str, ...] = DEFAULT_FORMATS
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) for v in (self.n_contexts, self.seed)):
-            raise InputError("n_contexts and seed must be integers")
+        if not (is_integer(self.n_contexts) and is_integer(self.seed)):
+            raise InputError("n_contexts and seed must be integers, "
+                             f"got {self.n_contexts!r} and {self.seed!r}")
         if self.n_contexts < 1:
             raise InputError(f"n_contexts must be >= 1, got {self.n_contexts}")
         pair, cap = self.attrs_per_context, len(ATTRIBUTE_NAMES)
-        if not (is_list_of(pair, numbers.Integral) and len(pair) == 2):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_integer, pair))):
             raise InputError(f"attrs_per_context must be a [lo, hi] pair of integers, got {pair!r}")
         lo, hi = pair
         if not (1 <= lo <= hi <= cap):

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .contexts import is_integer, is_number
 from .errors import InputError, TrainingDiverged
 from .model import ModelParams, init_model, score_triples
 from .objective import (
@@ -52,15 +52,13 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        counts = (self.k, self.eta, self.batch_size, self.epochs, self.reg_p, self.seed,
-                  0 if self.beta_decay_epochs is None else self.beta_decay_epochs)
-        if not all(isinstance(v, numbers.Integral) for v in counts):
-            raise InputError(
-                "k, eta, batch_size, epochs, reg_p, seed and beta_decay_epochs must be integers"
-            )
+        for name in ("k", "eta", "batch_size", "epochs", "reg_p", "seed", "beta_decay_epochs"):
+            value = getattr(self, name)
+            if not (is_integer(value) or (value is None and name == "beta_decay_epochs")):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         for name in ("learning_rate", "margin", "reg_lambda"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if not is_number(value):
                 raise InputError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value!r}")
@@ -82,6 +80,8 @@ class Hyperparams:
             raise InputError(f"reg_p must be >= 1, got {self.reg_p}")
         if self.reg_lambda < 0.0:
             raise InputError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.beta_decay_epochs is not None and self.beta_decay_epochs < 0:
             raise InputError(f"beta_decay_epochs must be >= 0, got {self.beta_decay_epochs}")
 

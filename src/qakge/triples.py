@@ -227,6 +227,8 @@ def split_train_test(
     """
     if not (0.0 < test_fraction < 1.0):
         raise InputError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     n = len(graph)
     if n < MIN_SPLIT_TRIPLES:
         raise InputError(f"graph too small to split: {n} < {MIN_SPLIT_TRIPLES} triples")

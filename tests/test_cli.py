@@ -252,9 +252,16 @@ def test_malformed_config_value_exits_one(capsys, world):
     ("plan", "config", {"hyperparams": {"margin": "1"}}, "margin must be a number"),
     ("plan", "context", {"domain": 7}, "domain"),
     ("plan", "context", {"org_standards": "ISO 8000"}, "org_standards"),
+    # JSON true is a bool, which python counts as the integer 1
+    ("plan", "config", {"hyperparams": {"epochs": True}}, "epochs must be an integer"),
+    ("plan", "config", {"hyperparams": {"k": True}}, "k must be an integer"),
+    ("synth", "config", {"generator": {"n_contexts": True}}, "n_contexts and seed must be integers"),
+    ("plan", "config", {"planner": {"tau": True}}, "tau must be a number"),
+    ("baseline", "config", {"baseline": {"d": True}}, "must all be integers"),
 ], ids=["n_contexts-string", "attrs-float", "domain_pool-string", "weight_range-removed",
         "p-string", "threshold-string", "epochs-float", "baseline-number", "tau-string",
-        "top_m-float", "focuse-string", "margin-string", "domain-number", "org_standards-string"])
+        "top_m-float", "focuse-string", "margin-string", "domain-number", "org_standards-string",
+        "epochs-true", "k-true", "n_contexts-true", "tau-true", "d-true"])
 def test_malformed_document_exits_one(capsys, world, command, kind, doc, named):
     tmp_path, graph_path, ctx_path = world
     if kind == "context":
@@ -277,10 +284,11 @@ def test_malformed_document_exits_one(capsys, world, command, kind, doc, named):
     ("dimension_edges", "weight", "0.5", "weight"),
     ("rule_edges", "weight", 7, "weight"),
     ("rule_edges", "weight", float("nan"), "weight"),
+    ("rule_edges", "weight", True, "weight"),
     (None, "context_id", 5, "context_id"),
     ("rule_edges", "attribute", "", "non-empty"),
     (None, "surprise", 1, "surprise"),
-], ids=["weight-word", "weight-string", "weight-above-one", "weight-nan",
+], ids=["weight-word", "weight-string", "weight-above-one", "weight-nan", "weight-true",
         "context_id-number", "attribute-empty", "unknown-key"])
 def test_malformed_plan_weight_exits_one(capsys, tmp_path, part, key, value, named):
     ctx = ContextDescriptor(context_id="survey", data_type="structured",
@@ -297,6 +305,25 @@ def test_malformed_plan_weight_exits_one(capsys, tmp_path, part, key, value, nam
     assert code == 1
     assert "error:" in err
     assert named in err
+
+
+def test_negative_seed_exits_one(capsys, world):
+    tmp_path, graph_path, ctx_path = world
+    ckpt = tmp_path / "model.ckpt"
+    assert run(capsys, "train", "--graph", graph_path, "--epochs", "1", "--out", str(ckpt))[0] == 0
+    grid_path = write_json(tmp_path / "grid.json", {"margin": [0.5]})
+    out = str(tmp_path / "out")
+    for argv in (
+        ("train", "--graph", graph_path, "--epochs", "1", "--out", out),
+        ("eval", "--model", str(ckpt), "--graph", graph_path),
+        ("plan", "--graph", graph_path, "--context", ctx_path, "--epochs", "1", "--out", out),
+        ("gridsearch", "--graph", graph_path, "--grid", grid_path, "--budget-epochs", "1",
+         "--leaderboard-out", out),
+        ("baseline", "--graph", graph_path, "--context", ctx_path, "--out", out),
+    ):
+        code, _, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 1, argv
+        assert "error: seed must be >= 0, got -1" in err, argv
 
 
 def test_gridsearch_command_writes_sorted_leaderboard(capsys, world):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import qakge.evaluation
 from qakge.errors import InputError
 from qakge.evaluation import aggregate_ranks, evaluate, validation_loss
 from qakge.model import ModelParams, init_model
@@ -52,7 +53,7 @@ def test_rank_rejects_bad_arguments():
     model = crafted_model([1.0, 2.0])
     with pytest.raises(InputError, match="protocol"):
         object_rank(model, ("a", "r", "b"), protocol="open")
-    with pytest.raises(InputError, match="not in model vocabulary"):
+    with pytest.raises(InputError, match="not in vocabulary: 'zz'"):
         object_rank(model, ("a", "r", "zz"))
 
 
@@ -92,6 +93,36 @@ def test_evaluate_records_match_oracle_in_order():
     assert metrics.mr == pytest.approx(want["mr"], abs=1e-15)
 
 
+def hub_graph() -> TripleGraph:
+    """A random graph plus a hub: e00 points at 30 objects through r0 and is
+    pointed at by 25 subjects through r1."""
+    base = toy_graph(n_entities=40, n_relations=3, n_triples=60, seed=12)
+    hub = [WeightedTriple("e00", "r0", f"e{i:02d}", 0.8) for i in range(5, 35)]
+    hub += [WeightedTriple(f"e{i:02d}", "r1", "e00", 0.6) for i in range(10, 35)]
+    seen = set(base.keys())
+    return TripleGraph.from_triples(
+        list(base.triples) + [t for t in hub if t.key not in seen])
+
+
+def test_blocks_of_a_few_rows_match_exhaustive_oracle(monkeypatch):
+    graph = hub_graph()
+    n = graph.vocab.n_entities
+    # 7 queries per block: the split spans many blocks and ends in a partial one
+    monkeypatch.setattr(qakge.evaluation, "BLOCK_SCORES", 7 * n + 3)
+    assert len(graph) % 7 and len(graph) > 10 * 7
+    model = init_model(graph.vocab, k=4, seed=3)
+    e_idx, r_idx = graph.vocab.entity_index, graph.vocab.relation_index
+    known_idx = {(e_idx[s], r_idx[p], e_idx[o]) for s, p, o in graph.keys()}
+    for mode in ("raw", "filtered"):
+        records = evaluate(model, graph, graph, protocol=mode).ranks
+        assert [(r.source, r.relation, r.target) for r in records[0::2]] == [
+            t.key for t in graph.triples]
+        assert [r.side for r in records] == ["object", "subject"] * len(graph)
+        for r in records:
+            idx_triple = (e_idx[r.source], r_idx[r.relation], e_idx[r.target])
+            assert r.rank == oracle_rank(model, idx_triple, r.side, known_idx, mode), (r, mode)
+
+
 def test_filtered_never_ranks_worse_than_raw():
     graph = toy_graph(n_entities=10, n_triples=30, seed=6)
     model = init_model(graph.vocab, k=3, seed=5)
@@ -124,8 +155,14 @@ def test_evaluate_argument_validation():
         evaluate(model, graph, graph, protocol="strict")
     with pytest.raises(InputError, match="empty test"):
         evaluate(model, TripleGraph.from_triples([]), graph)
-    with pytest.raises(InputError, match="hits_at"):
-        evaluate(model, graph, graph, hits_at=(0, 3))
+
+
+def test_loss_only_with_hyperparameters():
+    graph = toy_graph(n_entities=8, n_triples=12, seed=3)
+    model = init_model(graph.vocab, k=2, seed=0)
+    hp = Hyperparams(k=2, eta=2, batch_size=5)
+    assert evaluate(model, graph, graph).loss is None
+    assert evaluate(model, graph, graph, hp=hp).loss == validation_loss(model, graph, hp)
 
 
 def test_metrics_to_dict_shape():

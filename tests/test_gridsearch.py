@@ -68,6 +68,21 @@ def test_grid_search_computes_no_validation_loss(monkeypatch):
     assert len(board) == 1
 
 
+def test_grid_search_names_unknown_fields_before_training(monkeypatch):
+    import qakge.gridsearch
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid_search trained before checking the grid")
+
+    monkeypatch.setattr(qakge.gridsearch, "train", refuse)
+    train_g, valid_g = split_toy()
+    grid = {"margin": [0.5], "depth": [2], "width": [3]}
+    with pytest.raises(InputError, match="unknown hyperparameter in grid: 'depth', 'width'$"):
+        grid_search(train_g, valid_g, grid, budget_epochs=1, base=BASE)
+    with pytest.raises(InputError, match="epochs cannot be searched"):
+        grid_search(train_g, valid_g, {"margin": [0.5], "epochs": [2]}, budget_epochs=1, base=BASE)
+
+
 def test_grid_search_ties_keep_enumeration_order():
     # with focuse off beta is pinned at 1, so the decay span cannot change the model
     train_g, valid_g = split_toy()

@@ -109,4 +109,13 @@ def test_score_all_sides_agree_with_loops(model8):
     for e in range(n):
         assert objs[e] == pytest.approx(score_py(model8, 2, 1, e), rel=1e-12)
         assert subs[e] == pytest.approx(score_py(model8, e, 1, 3), rel=1e-12)
+    # id arrays score one row per query
+    s, p, o = np.array([2, 0, 7, 2]), np.array([1, 0, 2, 1]), np.array([3, 5, 5, 0])
+    objs = score_all_objects(model8, s, p)
+    subs = score_all_subjects(model8, p, o)
+    assert objs.shape == subs.shape == (4, n)
+    for row in range(4):
+        for e in range(n):
+            assert abs(objs[row, e] - score_py(model8, s[row], p[row], e)) <= 1e-12
+            assert abs(subs[row, e] - score_py(model8, e, p[row], o[row])) <= 1e-12
 

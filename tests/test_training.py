@@ -276,7 +276,7 @@ def test_hyperparams_validation():
         Hyperparams(learning_rate=0.0)
     with pytest.raises(InputError, match="k must"):
         Hyperparams(k=0)
-    with pytest.raises(InputError, match="integers"):
+    with pytest.raises(InputError, match="epochs must be an integer, got 2.5"):
         Hyperparams(epochs=2.5)
     with pytest.raises(InputError, match="eta"):
         Hyperparams(eta=0)

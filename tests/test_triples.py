@@ -168,6 +168,8 @@ def test_split_determinism_and_bounds(graph50):
         split_train_test(graph50, 0.0, seed=1)
     with pytest.raises(InputError):
         split_train_test(graph50, 1.0, seed=1)
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+        split_train_test(graph50, 0.2, seed=-1)
 
 
 def test_split_rejects_tiny_graphs():
