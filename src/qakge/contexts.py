@@ -8,6 +8,7 @@ measures to quality dimensions.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -387,8 +388,7 @@ def _plan_edge_from_dict(cls, doc):
     *ends, weight = (getattr(edge, f.name) for f in fields(cls))
     if not all(isinstance(end, str) and end for end in ends):
         raise InputError(f"plan edge ends must be non-empty strings, got {ends!r}")
-    if not (is_number(weight) and 0.0 <= weight <= 1.0):
-        raise InputError(f"plan edge weight must be a number in [0, 1], got {weight!r}")
+    check_number("plan edge weight", weight, 0, 1)
     return edge
 
 
@@ -413,7 +413,8 @@ def from_json_object(cls, doc, what: str):
     default is a dataclass is itself read from its sub-object; and the
     ``TypeError``/``ValueError`` that ``cls`` raises on a missing field or a
     value of the wrong type becomes an :class:`InputError`. Range and type
-    checks belong to ``cls.__post_init__``.
+    checks belong to ``cls.__post_init__``, or to the function that first
+    uses the value, through :func:`check_integer` and :func:`check_number`.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -442,6 +443,30 @@ def is_integer(value) -> bool:
 def is_number(value) -> bool:
     """Whether a JSON value is a real number; ``true`` and ``false`` are not."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """Raise an :class:`InputError` naming ``name`` unless ``value`` is an
+    integer of at least ``low``."""
+    if not is_integer(value):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
+
+
+def check_number(name: str, value, low: float, high: float = math.inf, *,
+                 above: bool = False) -> None:
+    """Raise an :class:`InputError` naming ``name`` unless ``value`` is a
+    finite real number in [``low``, ``high``], or in (``low``, ``high``]
+    with ``above``."""
+    if not is_number(value):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value!r}")
+    if value < low or value > high or (above and value == low):
+        if high == math.inf:
+            raise InputError(f"{name} must be {'>' if above else '>='} {low}, got {value}")
+        raise InputError(f"{name} must lie in {'(' if above else '['}{low}, {high}], got {value}")
 
 
 def is_list_of(value, kind) -> bool:

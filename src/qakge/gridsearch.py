@@ -7,6 +7,7 @@ import time
 from dataclasses import fields, replace
 from typing import Any, Mapping, Sequence
 
+from .contexts import check_integer
 from .errors import InputError
 from .evaluation import evaluate
 from .training import Hyperparams, train
@@ -44,8 +45,7 @@ def grid_search(
         raise InputError(f"unknown hyperparameter in grid: {', '.join(map(repr, unknown))}")
     if "epochs" in grid:
         raise InputError("epochs cannot be searched: every combination trains for budget_epochs")
-    if budget_epochs < 1:
-        raise InputError(f"budget_epochs must be >= 1, got {budget_epochs}")
+    check_integer("budget_epochs", budget_epochs, 1)
     if len(valid_graph) == 0:
         raise InputError("empty validation graph")
     base = base if base is not None else Hyperparams()

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .contexts import (
-    REL_SCHEMA, AssessmentPlan, ContextDescriptor, extract_plan, is_integer, is_number,
+    REL_SCHEMA, AssessmentPlan, ContextDescriptor, check_integer, check_number, extract_plan,
 )
 from .errors import InputError, NoMatchError, ZeroVectorError
 from .objective import scatter_rows
@@ -249,8 +249,7 @@ def embed_graph(
     seed: int = 0,
 ) -> NodeEmbeddings:
     """Convenience wrapper: walks then skip-gram with one config and seed."""
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    check_integer("seed", seed, 0)
     cfg = config if config is not None else BaselineConfig()
     walks = generate_walks(
         graph, cfg.walks_per_node, cfg.walk_length, cfg.p, cfg.q, seed=seed
@@ -280,8 +279,7 @@ def nearest_context(
     lexicographically smallest name. Matches below ``threshold`` are
     rejected.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise InputError(f"threshold must lie in [0, 1], got {threshold}")
+    check_number("threshold", threshold, 0, 1)
     qv = embeddings.vector(query)
     qn = float(np.linalg.norm(qv))
     if qn == 0.0:
@@ -319,25 +317,11 @@ class BaselineConfig:
     threshold: float = 0.7
 
     def __post_init__(self) -> None:
-        for name in ("p", "q", "learning_rate", "threshold"):
-            value = getattr(self, name)
-            if not is_number(value):
-                raise InputError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise InputError(f"{name} must be finite, got {value!r}")
-        if self.p <= 0 or self.q <= 0:
-            raise InputError("p and q must be positive")
-        sizes = (self.walks_per_node, self.walk_length, self.d, self.window,
-                 self.negatives, self.epochs)
-        if not all(map(is_integer, sizes)):
-            raise InputError("walks_per_node, walk_length, d, window, negatives and epochs "
-                             "must all be integers")
-        if min(sizes) < 1:
-            raise InputError("walk and skip-gram sizes must all be >= 1")
-        if self.learning_rate <= 0:
-            raise InputError("learning_rate must be positive")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise InputError("threshold must lie in [0, 1]")
+        for name in ("p", "q", "learning_rate"):
+            check_number(name, getattr(self, name), 0, above=True)
+        for name in ("walks_per_node", "walk_length", "d", "window", "negatives", "epochs"):
+            check_integer(name, getattr(self, name), 1)
+        check_number("threshold", self.threshold, 0, 1)
 
 
 def baseline_plan(

@@ -36,6 +36,8 @@ from .contexts import (
     DimensionEdge,
     RuleEdge,
     attribute_base_name,
+    check_integer,
+    check_number,
     context_to_triples,
     stored_dimension_edges,
 )
@@ -204,10 +206,8 @@ def generate_plan(
     stored weights; dimensions are predicted only for a rule that has none.
     ``raw_scores`` holds the predicted edges only.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise InputError(f"tau must lie in [0, 1], got {tau}")
-    if top_m < 1:
-        raise InputError(f"top_m must be >= 1, got {top_m}")
+    check_number("tau", tau, 0, 1)
+    check_integer("top_m", top_m, 1)
     if new_context.context_id in graph.vocab.entity_index:
         raise InputError(
             f"context id collision: {new_context.context_id!r} already in graph"

@@ -20,7 +20,8 @@ from .errors import InputError
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SAMPLE_CAP = 10_000
+# non-empty values per column that type inference reads
+SAMPLE_CAP = 10_000
 
 # share of sampled values that must agree before a column gets a non-text type
 TYPE_AGREEMENT = 0.95
@@ -68,21 +69,19 @@ def _is_date(value: str) -> bool:
     return False
 
 
-def infer_attribute_type(values: Iterable[str], sample_cap: int = DEFAULT_SAMPLE_CAP) -> AttributeType:
-    """Type of a column from up to ``sample_cap`` non-empty values.
+def infer_attribute_type(values: Iterable[str]) -> AttributeType:
+    """Type of a column from up to ``SAMPLE_CAP`` non-empty values.
 
     Numeric wins if at least 95% of the sample parses as a real number,
     then date by the same rule over the accepted patterns; otherwise text.
     An all-empty column degrades to text with a logged warning.
     """
-    if sample_cap < 1:
-        raise InputError(f"sample_cap must be >= 1, got {sample_cap}")
     sample: list[str] = []
     for v in values:
         if v.strip() == "":
             continue
         sample.append(v)
-        if len(sample) >= sample_cap:
+        if len(sample) >= SAMPLE_CAP:
             break
     if not sample:
         logger.warning("all values empty; defaulting attribute type to text")
@@ -100,7 +99,6 @@ def profile_dataset(
     overlay: dict,
     *,
     delimiter: str = ",",
-    sample_cap: int = DEFAULT_SAMPLE_CAP,
 ) -> ContextDescriptor:
     """Profile a delimited file into a context descriptor.
 
@@ -109,10 +107,12 @@ def profile_dataset(
     overrides the inferred value (a null field is left as inferred).
 
     Streams the file once: the row count is exact while per-column type
-    samples are capped at ``sample_cap`` values, so memory stays bounded.
+    samples are capped at ``SAMPLE_CAP`` values, so memory stays bounded.
     """
     if "attributes" in overlay:
         raise InputError("overlay cannot set attributes: profiling infers them")
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise InputError(f"delimiter must be one character, got {delimiter!r}")
     p = Path(data_path)
     if not p.is_file():
         raise InputError(f"no such file: {p}")
@@ -140,7 +140,7 @@ def profile_dataset(
                 n_rows += 1
                 for col, value in enumerate(row):
                     bucket = samples[col]
-                    if len(bucket) < sample_cap and value.strip() != "":
+                    if len(bucket) < SAMPLE_CAP and value.strip() != "":
                         bucket.append(value)
     except UnicodeDecodeError:
         raise InputError(f"{p}: not UTF-8 text") from None
@@ -151,7 +151,7 @@ def profile_dataset(
         "file_format": p.suffix.lstrip(".").lower(),
         **{k: v for k, v in overlay.items() if v is not None},
         "attributes": [
-            {"name": name, "type": infer_attribute_type(samples[i], sample_cap)}
+            {"name": name, "type": infer_attribute_type(samples[i])}
             for i, name in enumerate(names)
         ],
     }

@@ -26,6 +26,7 @@ from .contexts import (
     ContextDescriptor,
     DimensionEdge,
     RuleEdge,
+    check_integer,
     context_to_triples,
     is_integer,
     is_list_of,
@@ -166,11 +167,8 @@ class GeneratorConfig:
     format_pool: tuple[str, ...] = DEFAULT_FORMATS
 
     def __post_init__(self):
-        if not (is_integer(self.n_contexts) and is_integer(self.seed)):
-            raise InputError("n_contexts and seed must be integers, "
-                             f"got {self.n_contexts!r} and {self.seed!r}")
-        if self.n_contexts < 1:
-            raise InputError(f"n_contexts must be >= 1, got {self.n_contexts}")
+        check_integer("n_contexts", self.n_contexts, 1)
+        check_integer("seed", self.seed, 0)
         pair, cap = self.attrs_per_context, len(ATTRIBUTE_NAMES)
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_integer, pair))):
             raise InputError(f"attrs_per_context must be a [lo, hi] pair of integers, got {pair!r}")

@@ -7,13 +7,12 @@ final parameters bit for bit.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .contexts import is_integer, is_number
+from .contexts import check_integer, check_number
 from .errors import InputError, TrainingDiverged
 from .model import ModelParams, init_model, score_triples
 from .objective import (
@@ -52,38 +51,16 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "eta", "batch_size", "epochs", "reg_p", "seed", "beta_decay_epochs"):
-            value = getattr(self, name)
-            if not (is_integer(value) or (value is None and name == "beta_decay_epochs")):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "margin", "reg_lambda"):
-            value = getattr(self, name)
-            if not is_number(value):
-                raise InputError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise InputError(f"{name} must be finite, got {value!r}")
+        for name in ("k", "eta", "batch_size", "epochs", "reg_p"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed, 0)
+        if self.beta_decay_epochs is not None:
+            check_integer("beta_decay_epochs", self.beta_decay_epochs, 0)
+        check_number("learning_rate", self.learning_rate, 0, above=True)
+        check_number("margin", self.margin, 0)
+        check_number("reg_lambda", self.reg_lambda, 0)
         if not isinstance(self.focuse, bool):
             raise InputError(f"focuse must be true or false, got {self.focuse!r}")
-        if self.k < 1:
-            raise InputError(f"k must be >= 1, got {self.k}")
-        if self.eta < 1:
-            raise InputError(f"eta must be >= 1, got {self.eta}")
-        if self.batch_size < 1:
-            raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (self.learning_rate > 0.0):
-            raise InputError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.margin < 0.0:
-            raise InputError(f"margin must be >= 0, got {self.margin}")
-        if self.epochs < 1:
-            raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if self.reg_p < 1:
-            raise InputError(f"reg_p must be >= 1, got {self.reg_p}")
-        if self.reg_lambda < 0.0:
-            raise InputError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
-        if self.beta_decay_epochs is not None and self.beta_decay_epochs < 0:
-            raise InputError(f"beta_decay_epochs must be >= 0, got {self.beta_decay_epochs}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -255,13 +255,14 @@ def test_malformed_config_value_exits_one(capsys, world):
     # JSON true is a bool, which python counts as the integer 1
     ("plan", "config", {"hyperparams": {"epochs": True}}, "epochs must be an integer"),
     ("plan", "config", {"hyperparams": {"k": True}}, "k must be an integer"),
-    ("synth", "config", {"generator": {"n_contexts": True}}, "n_contexts and seed must be integers"),
+    ("synth", "config", {"generator": {"n_contexts": True}}, "n_contexts must be an integer"),
     ("plan", "config", {"planner": {"tau": True}}, "tau must be a number"),
-    ("baseline", "config", {"baseline": {"d": True}}, "must all be integers"),
+    ("baseline", "config", {"baseline": {"d": True}}, "d must be an integer"),
+    ("synth", "config", {"generator": {"seed": -1}}, "seed must be >= 0, got -1"),
 ], ids=["n_contexts-string", "attrs-float", "domain_pool-string", "weight_range-removed",
         "p-string", "threshold-string", "epochs-float", "baseline-number", "tau-string",
         "top_m-float", "focuse-string", "margin-string", "domain-number", "org_standards-string",
-        "epochs-true", "k-true", "n_contexts-true", "tau-true", "d-true"])
+        "epochs-true", "k-true", "n_contexts-true", "tau-true", "d-true", "seed-negative"])
 def test_malformed_document_exits_one(capsys, world, command, kind, doc, named):
     tmp_path, graph_path, ctx_path = world
     if kind == "context":
@@ -320,10 +321,37 @@ def test_negative_seed_exits_one(capsys, world):
         ("gridsearch", "--graph", graph_path, "--grid", grid_path, "--budget-epochs", "1",
          "--leaderboard-out", out),
         ("baseline", "--graph", graph_path, "--context", ctx_path, "--out", out),
+        ("synth", "--out", out),
     ):
         code, _, err = run(capsys, *argv, "--seed", "-1")
         assert code == 1, argv
         assert "error: seed must be >= 0, got -1" in err, argv
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("fraction", ["-0.5", "nan"])
+def test_bad_test_fraction_exits_one(capsys, world, command, fraction):
+    tmp_path, graph_path, _ = world
+    ckpt = tmp_path / "model.ckpt"
+    assert run(capsys, "train", "--graph", graph_path, "--epochs", "1", "--out", str(ckpt))[0] == 0
+    argv = {"train": ("train", "--graph", graph_path, "--epochs", "1", "--out", str(ckpt)),
+            "eval": ("eval", "--model", str(ckpt), "--graph", graph_path)}[command]
+    code, _, err = run(capsys, *argv, "--test-fraction", fraction)
+    assert code == 1
+    assert "error: test_fraction must be in (0, 1)" in err
+
+
+def test_baseline_threshold_flag_is_checked_before_embedding(capsys, world, monkeypatch):
+    tmp_path, graph_path, ctx_path = world
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("embed_graph reached with a bad threshold")
+
+    monkeypatch.setattr("qakge.cli.embed_graph", unreachable)
+    code, _, err = run(capsys, "baseline", "--graph", graph_path, "--context", ctx_path,
+                       "--threshold", "2", "--out", str(tmp_path / "plan.json"))
+    assert code == 1
+    assert "error: threshold must lie in [0, 1], got 2.0" in err
 
 
 def test_gridsearch_command_writes_sorted_leaderboard(capsys, world):

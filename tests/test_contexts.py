@@ -8,6 +8,8 @@ from qakge.contexts import (
     DimensionEdge,
     RuleEdge,
     attribute_base_name,
+    check_integer,
+    check_number,
     context_from_dict,
     context_to_dict,
     context_to_triples,
@@ -270,3 +272,29 @@ def test_load_json_rejects_non_utf8(tmp_path):
     p.write_bytes(b'{"domain": "caf\xe9"}')
     with pytest.raises(InputError, match=r"latin\.json: not UTF-8"):
         load_json(p)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_integer("k", True, 1), "k must be an integer, got True"),
+    (lambda: check_integer("k", 2.0, 1), "k must be an integer, got 2.0"),
+    (lambda: check_integer("k", 0, 1), "k must be >= 1, got 0"),
+    (lambda: check_number("w", "1", 0), "w must be a number, got '1'"),
+    (lambda: check_number("w", False, 0), "w must be a number, got False"),
+    (lambda: check_number("w", float("nan"), 0), "w must be finite, got nan"),
+    (lambda: check_number("w", float("inf"), 0), "w must be finite, got inf"),
+    (lambda: check_number("w", -0.5, 0), "w must be >= 0, got -0.5"),
+    (lambda: check_number("w", 0.0, 0, above=True), "w must be > 0, got 0.0"),
+    (lambda: check_number("w", 1.5, 0, 1), "w must lie in [0, 1], got 1.5"),
+    (lambda: check_number("w", 0, 0, 1, above=True), "w must lie in (0, 1], got 0"),
+])
+def test_checkers_name_the_field(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_checkers_accept_values_in_range():
+    check_integer("k", 1, 1)
+    check_number("w", 0, 0, 1)
+    check_number("w", 1, 0, 1, above=True)
+    check_number("w", 1e300, 0, above=True)

@@ -335,7 +335,7 @@ def test_baseline_plan_no_match_raises():
 
 
 def test_baseline_config_validation():
-    with pytest.raises(InputError, match="p and q"):
+    with pytest.raises(InputError, match="p must be > 0, got 0.0"):
         BaselineConfig(p=0.0)
     with pytest.raises(InputError, match=">= 1"):
         BaselineConfig(walk_length=0)

@@ -212,6 +212,8 @@ def test_generate_plan_rejects_bad_arguments():
         generate_plan(graph, query, FAST_HP, tau=1.5)
     with pytest.raises(InputError, match="top_m"):
         generate_plan(graph, query, FAST_HP, top_m=0)
+    with pytest.raises(InputError, match="tau must be a number, got '0.5'"):
+        generate_plan(graph, query, FAST_HP, tau="0.5")
     taken = next(
         t.source for t in graph.triples if t.relation == "hasSchema"
     )

@@ -1,5 +1,6 @@
 import pytest
 
+import qakge.profiling
 from qakge.contexts import AttributeType
 from qakge.errors import InputError
 from qakge.profiling import infer_attribute_type, profile_dataset
@@ -103,13 +104,21 @@ def test_profile_rejects_non_utf8(tmp_path):
         profile_dataset(p, {"context_id": "c"})
 
 
-def test_profile_sample_cap_bounds_inference(tmp_path):
+def test_profile_sample_cap_bounds_inference(tmp_path, monkeypatch):
     # first 10 values numeric, a text value arrives after the cap
-    rows = "\n".join(["x"] if False else [str(i) for i in range(10)] + ["not_a_number"])
+    rows = "\n".join([str(i) for i in range(10)] + ["not_a_number"])
     p = _write(tmp_path, "col\n" + rows + "\n")
-    capped = profile_dataset(p, {"context_id": "c"}, sample_cap=10)
-    assert capped.attributes[0].type is AttributeType.NUMERIC
     uncapped = profile_dataset(p, {"context_id": "c"})
     assert uncapped.attributes[0].type is AttributeType.TEXT  # 10/11 < 95%
+    monkeypatch.setattr(qakge.profiling, "SAMPLE_CAP", 10)
+    capped = profile_dataset(p, {"context_id": "c"})
+    assert capped.attributes[0].type is AttributeType.NUMERIC
     # row count stays exact either way
     assert capped.size_bucket == "tiny"
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_profile_rejects_a_delimiter_that_is_not_one_character(tmp_path, delimiter):
+    p = _write(tmp_path, "a;b\n1;2\n")
+    with pytest.raises(InputError, match="delimiter must be one character"):
+        profile_dataset(p, {"context_id": "c"}, delimiter=delimiter)
