@@ -332,10 +332,11 @@ def test_negative_seed_exits_one(capsys, world):
 @pytest.mark.parametrize("fraction", ["-0.5", "nan"])
 def test_bad_test_fraction_exits_one(capsys, world, command, fraction):
     tmp_path, graph_path, _ = world
-    ckpt = tmp_path / "model.ckpt"
-    assert run(capsys, "train", "--graph", graph_path, "--epochs", "1", "--out", str(ckpt))[0] == 0
-    argv = {"train": ("train", "--graph", graph_path, "--epochs", "1", "--out", str(ckpt)),
-            "eval": ("eval", "--model", str(ckpt), "--graph", graph_path)}[command]
+    ckpt = str(tmp_path / "model.ckpt")
+    argv = ("train", "--graph", graph_path, "--epochs", "1", "--out", ckpt)
+    if command == "eval":
+        assert run(capsys, *argv)[0] == 0
+        argv = ("eval", "--model", ckpt, "--graph", graph_path)
     code, _, err = run(capsys, *argv, "--test-fraction", fraction)
     assert code == 1
     assert "error: test_fraction must be in (0, 1)" in err
