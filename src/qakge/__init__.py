@@ -41,9 +41,7 @@ from .node2vec import (
     NodeEmbeddings,
     baseline_plan,
     embed_graph,
-    generate_walks,
     nearest_context,
-    train_skipgram,
 )
 from .planner import (
     PlanComparison,
@@ -110,7 +108,6 @@ __all__ = [
     "fit_calibration",
     "generate_plan",
     "generate_synthetic_graph",
-    "generate_walks",
     "grid_search",
     "infer_attribute_type",
     "init_model",
@@ -125,7 +122,6 @@ __all__ = [
     "score_triples",
     "split_train_test",
     "train",
-    "train_skipgram",
     "triples_to_context",
     "validation_loss",
 ]

@@ -214,17 +214,18 @@ def cmd_compare(args) -> int:
     plan_b = plan_from_dict(load_json(args.plan_b))
     ctx = context_from_dict(load_json(args.context))
     cmp = compare_plans(plan_a, plan_b, ctx)
-    label_a = Path(args.plan_a).stem
-    label_b = Path(args.plan_b).stem
-    print(comparison_report(cmp, label_a=label_a, label_b=label_b))
+    stems = Path(args.plan_a).stem, Path(args.plan_b).stem
+    labels = stems if stems[0] != stems[1] else (args.plan_a, args.plan_b)
+    print(comparison_report(cmp, *labels))
     if args.json_out:
-        save_json(_comparison_dict(cmp, label_a, label_b), args.json_out)
+        save_json(_comparison_dict(cmp, *stems), args.json_out)
     return 0
 
 
 def _comparison_dict(cmp, label_a: str, label_b: str) -> dict:
-    def side(cov):
+    def side(label, cov):
         return {
+            "label": label,
             "covered": list(cov.covered),
             "uncovered": list(cov.uncovered),
             "total": cov.total,
@@ -235,8 +236,8 @@ def _comparison_dict(cmp, label_a: str, label_b: str) -> dict:
 
     return {
         "context_id": cmp.context_id,
-        label_a: side(cmp.coverage_a),
-        label_b: side(cmp.coverage_b),
+        "plan_a": side(label_a, cmp.coverage_a),
+        "plan_b": side(label_b, cmp.coverage_b),
         "shared_rules": list(cmp.shared_rules),
         "only_a": list(cmp.only_a),
         "only_b": list(cmp.only_b),

@@ -8,13 +8,13 @@ measures to quality dimensions.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import InputError, MalformedContextError
+from .errors import (
+    InputError, MalformedContextError, check_integer, check_number, is_integer, is_number,
+)
 from .triples import TripleGraph, WeightedTriple
 
 
@@ -433,40 +433,6 @@ def from_json_object(cls, doc, what: str):
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed {what}: {exc}") from exc
-
-
-def is_integer(value) -> bool:
-    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_number(value) -> bool:
-    """Whether a JSON value is a real number; ``true`` and ``false`` are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def check_integer(name: str, value, low: int) -> None:
-    """Raise an :class:`InputError` naming ``name`` unless ``value`` is an
-    integer of at least ``low``."""
-    if not is_integer(value):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise InputError(f"{name} must be >= {low}, got {value}")
-
-
-def check_number(name: str, value, low: float, high: float = math.inf, *,
-                 above: bool = False) -> None:
-    """Raise an :class:`InputError` naming ``name`` unless ``value`` is a
-    finite real number in [``low``, ``high``], or in (``low``, ``high``]
-    with ``above``."""
-    if not is_number(value):
-        raise InputError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise InputError(f"{name} must be finite, got {value!r}")
-    if value < low or value > high or (above and value == low):
-        if high == math.inf:
-            raise InputError(f"{name} must be {'>' if above else '>='} {low}, got {value}")
-        raise InputError(f"{name} must lie in {'(' if above else '['}{low}, {high}], got {value}")
 
 
 def is_list_of(value, kind) -> bool:

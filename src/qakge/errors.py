@@ -5,7 +5,13 @@ wrong with user-supplied data or arguments (bad files, bad flags, schema
 violations) and maps to CLI exit code 1, while the remaining
 :class:`QakgeError` subclasses signal operational failures (diverged
 training, no baseline match) and map to exit code 2.
+
+The checkers at the end hold the one rule by which every setting is
+checked where it enters: an integer is not a bool, a real is finite, and
+the error names the field.
 """
+import math
+import numbers
 
 
 class QakgeError(Exception):
@@ -63,3 +69,37 @@ class ZeroVectorError(QakgeError):
     def __init__(self, node: str):
         self.node = node
         super().__init__(f"zero-norm embedding for node {node!r}")
+
+
+def is_integer(value) -> bool:
+    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether a JSON value is a real number; ``true`` and ``false`` are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """Raise an :class:`InputError` naming ``name`` unless ``value`` is an
+    integer of at least ``low``."""
+    if not is_integer(value):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
+
+
+def check_number(name: str, value, low: float, high: float = math.inf, *,
+                 above: bool = False) -> None:
+    """Raise an :class:`InputError` naming ``name`` unless ``value`` is a
+    finite real number in [``low``, ``high``], or in (``low``, ``high``]
+    with ``above``."""
+    if not is_number(value):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value!r}")
+    if value < low or value > high or (above and value == low):
+        if high == math.inf:
+            raise InputError(f"{name} must be {'>' if above else '>='} {low}, got {value}")
+        raise InputError(f"{name} must lie in {'(' if above else '['}{low}, {high}], got {value}")

@@ -5,21 +5,23 @@ biased second-order walks plus a skip-gram model, then answer a new context
 by copying the plan of its nearest existing schema under cosine similarity.
 Everything is hand-rolled on numpy so seeded runs repeat: walks bit for
 bit anywhere, embeddings bit for bit on one machine and BLAS build.
+
+:class:`BaselineConfig` is the one place a walk or skip-gram setting is
+declared, defaulted and checked; :func:`embed_graph` is the one entry point
+of the embedding, and the steps it calls read their settings from the
+config they are given.
 """
 from __future__ import annotations
 
 import logging
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .contexts import (
-    REL_SCHEMA, AssessmentPlan, ContextDescriptor, check_integer, check_number, extract_plan,
-)
-from .errors import InputError, NoMatchError, ZeroVectorError
+from .contexts import REL_SCHEMA, AssessmentPlan, ContextDescriptor, extract_plan
+from .errors import InputError, NoMatchError, ZeroVectorError, check_integer, check_number
 from .objective import scatter_rows
 from .triples import TripleGraph
 
@@ -56,10 +58,9 @@ def transition_probs(
 
     Weights: 1/p to step back to ``prev``, 1 to a common neighbor of
     ``prev`` and ``cur``, 1/q otherwise. ``prev=None`` (walk start) is
-    uniform over the neighbors of ``cur``.
+    uniform over the neighbors of ``cur``. ``p`` and ``q`` are positive and
+    finite, as :class:`BaselineConfig` checks.
     """
-    if not (p > 0 and q > 0 and math.isfinite(p) and math.isfinite(q)):
-        raise InputError(f"walk bias parameters must be positive and finite, got p={p}, q={q}")
     cand = adj.neighbors[cur]
     if cand.size == 0:
         return cand, np.empty(0, dtype=np.float64)
@@ -74,15 +75,9 @@ def transition_probs(
     return cand, w / w.sum()
 
 
-def generate_walks(
-    graph: TripleGraph,
-    walks_per_node: int = 10,
-    walk_length: int = 80,
-    p: float = 1.0,
-    q: float = 1.0,
-    seed: int = 0,
-) -> list[np.ndarray]:
-    """Biased random walks, ``walks_per_node`` from every entity.
+def generate_walks(graph: TripleGraph, cfg: BaselineConfig, seed: int) -> list[np.ndarray]:
+    """Biased random walks, ``cfg.walks_per_node`` from every entity, each
+    of up to ``cfg.walk_length`` nodes and biased by ``cfg.p`` and ``cfg.q``.
 
     Each start node gets its own generator keyed by (seed, node id), so the
     output is independent of how many other nodes exist. Isolated nodes
@@ -93,21 +88,19 @@ def generate_walks(
     cumulative probabilities. A step is then one uniform draw and a binary
     search for the first cumulative probability that is not below it.
     """
-    if walks_per_node < 1 or walk_length < 1:
-        raise InputError("walks_per_node and walk_length must be >= 1")
     adj = AdjacencyStructure.from_graph(graph)
     transitions: dict[tuple[int | None, int], tuple[list[int], list[float]]] = {}
     walks: list[np.ndarray] = []
     for node in range(len(adj.names)):
         rng = np.random.default_rng((seed, node))
-        for _ in range(walks_per_node):
+        for _ in range(cfg.walks_per_node):
             walk = [node]
             prev: int | None = None
             cur = node
-            for _ in range(1, walk_length):
+            for _ in range(1, cfg.walk_length):
                 key = (prev, cur)
                 if key not in transitions:
-                    cand, probs = transition_probs(adj, prev, cur, p, q)
+                    cand, probs = transition_probs(adj, prev, cur, cfg.p, cfg.q)
                     transitions[key] = (cand.tolist(), np.cumsum(probs).tolist())
                 cand, cdf = transitions[key]
                 if not cand:
@@ -123,8 +116,6 @@ def generate_walks(
 def window_pairs(walk: np.ndarray, window: int) -> np.ndarray:
     """All (center, context) id pairs within ``window`` positions, in order:
     by center, then by context position."""
-    if window < 1:
-        raise InputError(f"window must be >= 1, got {window}")
     n = walk.shape[0]
     offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
     centers = np.repeat(np.arange(n), 2 * window)
@@ -159,16 +150,10 @@ def _distinct_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train_skipgram(
-    walks: Sequence[np.ndarray],
-    names: tuple[str, ...],
-    d: int = 64,
-    window: int = 5,
-    negatives: int = 5,
-    epochs: int = 5,
-    learning_rate: float = 0.025,
-    seed: int = 0,
+    walks: Sequence[np.ndarray], names: tuple[str, ...], cfg: BaselineConfig, seed: int
 ) -> NodeEmbeddings:
-    """Skip-gram with negative sampling over precomputed walks.
+    """Skip-gram with negative sampling over precomputed walks, with the
+    dimension, window, negatives, epochs and learning rate of ``cfg``.
 
     Noise distribution is the unigram frequency of walk tokens raised to
     0.75. Updates are applied in fixed-size batches, to the rows the batch
@@ -184,12 +169,9 @@ def train_skipgram(
     another. The learning rate decays linearly to a floor of 1e-4 of its
     start value.
     """
-    if d < 1 or negatives < 1 or epochs < 1:
-        raise InputError("d, negatives and epochs must all be >= 1")
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise InputError(f"learning_rate must be positive and finite, got {learning_rate}")
+    d = cfg.d
     n = len(names)
-    pair_blocks = [window_pairs(w, window) for w in walks if w.shape[0] > 1]
+    pair_blocks = [window_pairs(w, cfg.window) for w in walks if w.shape[0] > 1]
     if not pair_blocks:
         raise InputError("no training pairs: every walk has length 1")
     pairs = np.concatenate(pair_blocks, axis=0)
@@ -197,8 +179,6 @@ def train_skipgram(
 
     counts = np.bincount(pairs[:, 0], minlength=n).astype(np.float64)
     noise = counts**0.75
-    if noise.sum() == 0:
-        raise InputError("degenerate noise distribution")
     noise_cdf = np.cumsum(noise / noise.sum())
 
     batch = 256
@@ -207,16 +187,16 @@ def train_skipgram(
     w_out = np.zeros((n, d))
     table = np.arange(batch * d).reshape(batch, d)  # row i: the flat cells of row i
 
-    total_steps = epochs * ((pairs.shape[0] + batch - 1) // batch)
+    total_steps = cfg.epochs * ((pairs.shape[0] + batch - 1) // batch)
     step = 0
-    for _ in range(epochs):
+    for _ in range(cfg.epochs):
         order = rng.permutation(pairs.shape[0])
         for start in range(0, pairs.shape[0], batch):
             sel = pairs[order[start : start + batch]]
             centers, contexts = sel[:, 0], sel[:, 1]
             b = centers.shape[0]
-            neg = np.minimum(np.searchsorted(noise_cdf, rng.random((b, negatives))), n - 1)
-            alpha = learning_rate * max(1e-4, 1.0 - step / total_steps)
+            neg = np.minimum(np.searchsorted(noise_cdf, rng.random((b, cfg.negatives))), n - 1)
+            alpha = cfg.learning_rate * max(1e-4, 1.0 - step / total_steps)
 
             vc = w_in[centers]  # (b, d)
             # positive: push sigmoid(vc . u_ctx) toward 1
@@ -243,34 +223,22 @@ def train_skipgram(
     return NodeEmbeddings(names, {name: i for i, name in enumerate(names)}, w_in)
 
 
-def embed_graph(
-    graph: TripleGraph,
-    config: "BaselineConfig | None" = None,
-    seed: int = 0,
-) -> NodeEmbeddings:
-    """Convenience wrapper: walks then skip-gram with one config and seed."""
+def embed_graph(graph: TripleGraph, config: BaselineConfig, seed: int) -> NodeEmbeddings:
+    """Embed every entity of ``graph``: walks, then skip-gram over them,
+    with the settings of ``config`` and one ``seed`` for both.
+
+    The only entry point of the walk embedding. ``config`` was checked when
+    it was built, and ``seed`` is checked here.
+    """
     check_integer("seed", seed, 0)
-    cfg = config if config is not None else BaselineConfig()
-    walks = generate_walks(
-        graph, cfg.walks_per_node, cfg.walk_length, cfg.p, cfg.q, seed=seed
-    )
-    return train_skipgram(
-        walks,
-        graph.vocab.entities,
-        d=cfg.d,
-        window=cfg.window,
-        negatives=cfg.negatives,
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        seed=seed,
-    )
+    return train_skipgram(generate_walks(graph, config, seed), graph.vocab.entities, config, seed)
 
 
 def nearest_context(
     embeddings: NodeEmbeddings,
     query: str,
     candidates: Iterable[str],
-    threshold: float = 0.7,
+    threshold: float,
 ) -> str | None:
     """Best cosine match for ``query`` among ``candidates``, or None.
 
@@ -303,7 +271,8 @@ def nearest_context(
 
 @dataclass(frozen=True, slots=True)
 class BaselineConfig:
-    """Knobs for the walk-embedding retrieval baseline."""
+    """Settings of the walk-embedding retrieval baseline, each checked
+    when the config is built."""
 
     p: float = 1.0
     q: float = 1.0
@@ -328,7 +297,7 @@ def baseline_plan(
     graph: TripleGraph,
     embeddings: NodeEmbeddings,
     query_context: ContextDescriptor,
-    threshold: float = 0.7,
+    threshold: float,
 ) -> AssessmentPlan:
     """Copy the plan of the most similar existing context onto the query.
 

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CsvFormatError, InputError
+from .errors import CsvFormatError, InputError, check_integer, is_number
 
 logger = logging.getLogger(__name__)
 
@@ -225,10 +225,9 @@ def split_train_test(
     order, so every test symbol is trainable. The returned graphs partition
     the input: disjoint keys, union equal to the original.
     """
-    if not (0.0 < test_fraction < 1.0):
-        raise InputError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    if not (is_number(test_fraction) and 0 < test_fraction < 1):
+        raise InputError(f"test_fraction must be in (0, 1), got {test_fraction!r}")
+    check_integer("seed", seed, 0)
     n = len(graph)
     if n < MIN_SPLIT_TRIPLES:
         raise InputError(f"graph too small to split: {n} < {MIN_SPLIT_TRIPLES} triples")

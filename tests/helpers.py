@@ -11,7 +11,9 @@ import random
 import numpy as np
 
 from qakge.model import ModelParams, init_model, score_triples
-from qakge.node2vec import AdjacencyStructure, NodeEmbeddings, transition_probs, window_pairs
+from qakge.node2vec import (
+    AdjacencyStructure, BaselineConfig, NodeEmbeddings, transition_probs, window_pairs,
+)
 from qakge.objective import (
     Arena, Gradients, TrainingBatch, focuse_alpha, int_power, scatter_rows, sigmoid, softplus,
 )
@@ -225,21 +227,20 @@ def random_batch(n_entities: int, n_relations: int, rng: np.random.Generator,
     return TrainingBatch(pos, np.asarray(weights, dtype=np.float64), neg, eta, beta)
 
 
-def step_by_step_walks(graph: TripleGraph, walks_per_node: int, walk_length: int,
-                       p: float, q: float, seed: int) -> list[np.ndarray]:
+def step_by_step_walks(graph: TripleGraph, cfg: BaselineConfig, seed: int) -> list[np.ndarray]:
     """Biased walks that compute every step's transition afresh and pick
     the next node with ``np.searchsorted`` over its cumulative sum."""
     adj = AdjacencyStructure.from_graph(graph)
     walks = []
     for node in range(len(adj.names)):
         rng = np.random.default_rng((seed, node))
-        for _ in range(walks_per_node):
-            walk = np.empty(walk_length, dtype=np.int64)
+        for _ in range(cfg.walks_per_node):
+            walk = np.empty(cfg.walk_length, dtype=np.int64)
             walk[0] = node
             prev, length = None, 1
-            for step in range(1, walk_length):
+            for step in range(1, cfg.walk_length):
                 cur = int(walk[step - 1])
-                cand, probs = transition_probs(adj, prev, cur, p, q)
+                cand, probs = transition_probs(adj, prev, cur, cfg.p, cfg.q)
                 if cand.size == 0:
                     break
                 u = rng.random()
@@ -250,15 +251,14 @@ def step_by_step_walks(graph: TripleGraph, walks_per_node: int, walk_length: int
     return walks
 
 
-def scattered_skipgram(walks, names: tuple[str, ...], d: int = 64, window: int = 5,
-                       negatives: int = 5, epochs: int = 5, learning_rate: float = 0.025,
-                       seed: int = 0) -> NodeEmbeddings:
+def scattered_skipgram(walks, names: tuple[str, ...], cfg: BaselineConfig,
+                       seed: int) -> NodeEmbeddings:
     """``train_skipgram`` with the output update done one value at a time:
     every (pair, context or negative) term -alpha * g * vc is formed and
     summed into its row with ``scatter_rows``, in slot order. The draws,
     logits and center update are the library's."""
-    n = len(names)
-    pairs = np.concatenate([window_pairs(w, window) for w in walks if w.shape[0] > 1], axis=0)
+    n, d = len(names), cfg.d
+    pairs = np.concatenate([window_pairs(w, cfg.window) for w in walks if w.shape[0] > 1], axis=0)
     noise = np.bincount(pairs[:, 0], minlength=n).astype(np.float64) ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
     rng = np.random.default_rng((seed, 7))
@@ -266,16 +266,16 @@ def scattered_skipgram(walks, names: tuple[str, ...], d: int = 64, window: int =
     w_out = np.zeros((n, d))
     table = np.arange(n * d).reshape(n, d)
     batch = 256
-    total_steps = epochs * ((pairs.shape[0] + batch - 1) // batch)
+    total_steps = cfg.epochs * ((pairs.shape[0] + batch - 1) // batch)
     step = 0
-    for _ in range(epochs):
+    for _ in range(cfg.epochs):
         order = rng.permutation(pairs.shape[0])
         for start in range(0, pairs.shape[0], batch):
             sel = pairs[order[start : start + batch]]
             centers, contexts = sel[:, 0], sel[:, 1]
             b = centers.shape[0]
-            neg = np.minimum(np.searchsorted(noise_cdf, rng.random((b, negatives))), n - 1)
-            alpha = learning_rate * max(1e-4, 1.0 - step / total_steps)
+            neg = np.minimum(np.searchsorted(noise_cdf, rng.random((b, cfg.negatives))), n - 1)
+            alpha = cfg.learning_rate * max(1e-4, 1.0 - step / total_steps)
             vc = w_in[centers]
             u_pos = w_out[contexts]
             g_pos = 1.0 / (1.0 + np.exp(-np.einsum("bd,bd->b", vc, u_pos))) - 1.0

@@ -217,8 +217,21 @@ def test_compare_command_prints_and_saves(capsys, tmp_path):
     assert "walk_plan: covers 1/2 attributes" in out
     assert "shared rules: range_check" in out
     doc = json.loads(json_out.read_text())
-    assert doc["kge_plan"]["fraction"] == 1.0
-    assert doc["walk_plan"]["covered"] == ["x"]
+    assert doc["plan_a"]["label"] == "kge_plan" and doc["plan_a"]["fraction"] == 1.0
+    assert doc["plan_b"]["label"] == "walk_plan" and doc["plan_b"]["covered"] == ["x"]
+
+    # two plans whose files share a stem keep both sides apart
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    same_a = write_json(tmp_path / "a" / "plan.json", plan_to_dict(plan_a))
+    same_b = write_json(tmp_path / "b" / "plan.json", plan_to_dict(plan_b))
+    code, out, _ = run(capsys, "compare", "--plan-a", same_a, "--plan-b", same_b,
+                       "--context", ctx_path, "--json-out", str(json_out))
+    assert code == 0
+    assert f"{same_a}: covers 2/2 attributes" in out
+    assert f"{same_b}: covers 1/2 attributes" in out
+    doc = json.loads(json_out.read_text())
+    assert doc["plan_a"]["fraction"] == 1.0 and doc["plan_b"]["covered"] == ["x"]
 
     mismatched = write_json(tmp_path / "other.json",
                             plan_to_dict(AssessmentPlan("elsewhere", plan_b.rule_edges,

@@ -68,16 +68,6 @@ def test_transition_probs_start_is_uniform_and_return_suppressed():
     cand, probs = transition_probs(adj, prev=a, cur=b, p=1e9, q=1.0)
     assert probs[cand.tolist().index(a)] < 1e-8
 
-    with pytest.raises(InputError, match="positive"):
-        transition_probs(adj, None, a, p=0.0, q=1.0)
-    with pytest.raises(InputError, match="positive"):
-        transition_probs(adj, None, a, p=1.0, q=-2.0)
-    for bias in (math.nan, math.inf):
-        with pytest.raises(InputError, match="finite"):
-            transition_probs(adj, None, a, p=bias, q=1.0)
-        with pytest.raises(InputError, match="finite"):
-            transition_probs(adj, None, a, p=1.0, q=bias)
-
 
 def test_window_pairs_exact():
     walk = np.array([0, 1, 2], dtype=np.int64)
@@ -86,14 +76,13 @@ def test_window_pairs_exact():
         [0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1],
     ]
     assert window_pairs(np.array([5]), 3).shape == (0, 2)
-    with pytest.raises(InputError, match="window"):
-        window_pairs(walk, 0)
 
 
 def test_walks_deterministic_grouped_and_edge_respecting():
     graph = edges(("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("e", "a"))
-    first = generate_walks(graph, walks_per_node=3, walk_length=12, seed=4)
-    again = generate_walks(graph, walks_per_node=3, walk_length=12, seed=4)
+    cfg = BaselineConfig(walks_per_node=3, walk_length=12)
+    first = generate_walks(graph, cfg, seed=4)
+    again = generate_walks(graph, cfg, seed=4)
     assert len(first) == 5 * 3
     assert all(np.array_equal(x, y) for x, y in zip(first, again))
     adj = AdjacencyStructure.from_graph(graph)
@@ -109,7 +98,7 @@ def test_isolated_node_walks_have_length_one():
         WeightedTriple("a", "linked", "b", 1.0),
         WeightedTriple("lone", "linked", "lone", 1.0),  # only a self-loop
     ])
-    walks = generate_walks(graph, walks_per_node=2, walk_length=10, seed=0)
+    walks = generate_walks(graph, BaselineConfig(walks_per_node=2, walk_length=10), seed=0)
     adj = AdjacencyStructure.from_graph(graph)
     lone = adj.index["lone"]
     lone_walks = walks[lone * 2 : lone * 2 + 2]
@@ -130,8 +119,9 @@ def test_walks_match_the_step_by_step_reference():
     graph = biased_graph()
     for seed in (0, 1, 2):
         for p, q in ((0.5, 2.0), (4.0, 0.25)):
-            got = generate_walks(graph, walks_per_node=3, walk_length=25, p=p, q=q, seed=seed)
-            want = step_by_step_walks(graph, 3, 25, p, q, seed)
+            cfg = BaselineConfig(p=p, q=q, walks_per_node=3, walk_length=25)
+            got = generate_walks(graph, cfg, seed=seed)
+            want = step_by_step_walks(graph, cfg, seed)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert g.dtype == np.int64 and np.array_equal(g, w)
@@ -146,7 +136,8 @@ def test_walks_compute_each_transition_once_through_the_module_name(monkeypatch)
         return transition_probs(adj, prev, cur, p, q)
 
     monkeypatch.setattr(node2vec, "transition_probs", counted)
-    walks = generate_walks(graph, walks_per_node=4, walk_length=length, p=0.5, q=2.0, seed=1)
+    cfg = BaselineConfig(p=0.5, q=2.0, walks_per_node=4, walk_length=length)
+    walks = generate_walks(graph, cfg, seed=1)
     # a walk looks up the transition out of each of its nodes but the last
     # of a full-length walk; a dead end looks it up and stops
     seen = {(None if i == 0 else int(w[i - 1]), int(w[i]))
@@ -176,8 +167,8 @@ def clique_graph() -> TripleGraph:
 
 def test_skipgram_separates_disconnected_cliques():
     graph = clique_graph()
-    walks = generate_walks(graph, walks_per_node=8, walk_length=40, seed=1)
-    emb = train_skipgram(walks, graph.vocab.entities, d=16, epochs=4, seed=1)
+    cfg = BaselineConfig(walks_per_node=8, walk_length=40, d=16, epochs=4)
+    emb = train_skipgram(generate_walks(graph, cfg, seed=1), graph.vocab.entities, cfg, seed=1)
     unit = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
     sims = unit @ unit.T
     groups = [[emb.index[f"{p}{i}"] for i in range(6)] for p in "ab"]
@@ -194,15 +185,13 @@ def test_skipgram_separates_disconnected_cliques():
 
 def test_skipgram_deterministic_and_needs_pairs():
     graph = clique_graph()
-    walks = generate_walks(graph, walks_per_node=2, walk_length=10, seed=3)
-    one = train_skipgram(walks, graph.vocab.entities, d=8, epochs=2, seed=5)
-    two = train_skipgram(walks, graph.vocab.entities, d=8, epochs=2, seed=5)
+    cfg = BaselineConfig(walks_per_node=2, walk_length=10, d=8, epochs=2)
+    walks = generate_walks(graph, cfg, seed=3)
+    one = train_skipgram(walks, graph.vocab.entities, cfg, seed=5)
+    two = train_skipgram(walks, graph.vocab.entities, cfg, seed=5)
     assert np.array_equal(one.vectors, two.vectors)
     with pytest.raises(InputError, match="no training pairs"):
-        train_skipgram([np.array([0]), np.array([1])], ("x", "y"), d=4)
-    for rate in (0.0, math.nan, math.inf):
-        with pytest.raises(InputError, match="learning_rate"):
-            train_skipgram(walks, graph.vocab.entities, d=8, learning_rate=rate)
+        train_skipgram([np.array([0]), np.array([1])], ("x", "y"), BaselineConfig(d=4), seed=0)
 
 
 def ring_graph(size: int) -> TripleGraph:
@@ -217,9 +206,10 @@ def test_skipgram_output_update_matches_value_by_value_reference(graph, walks_pe
     """The dense product sums the output rows in another order than the
     value-by-value reference, whether a batch names few rows or many. An
     entry that cancels to near zero is held to 1e-12 of the largest one."""
-    walks = generate_walks(graph, walks_per_node=walks_per_node, walk_length=walk_length, seed=3)
-    dense = train_skipgram(walks, graph.vocab.entities, d=16, epochs=1, seed=5).vectors
-    scattered = scattered_skipgram(walks, graph.vocab.entities, d=16, epochs=1, seed=5).vectors
+    cfg = BaselineConfig(walks_per_node=walks_per_node, walk_length=walk_length, d=16, epochs=1)
+    walks = generate_walks(graph, cfg, seed=3)
+    dense = train_skipgram(walks, graph.vocab.entities, cfg, seed=5).vectors
+    scattered = scattered_skipgram(walks, graph.vocab.entities, cfg, seed=5).vectors
     np.testing.assert_allclose(dense, scattered, rtol=1e-12, atol=1e-12 * np.abs(scattered).max())
 
 
@@ -231,10 +221,8 @@ def test_radiation_retrieval_matches_value_by_value_reference(seed):
     query = scenario.input_context
     graph = scenario.graph.extended(context_to_triples(query))
     cfg = BaselineConfig(walks_per_node=2, epochs=1)
-    walks = generate_walks(graph, cfg.walks_per_node, cfg.walk_length, cfg.p, cfg.q, seed=seed)
-    scattered = scattered_skipgram(walks, graph.vocab.entities, d=cfg.d, window=cfg.window,
-                                   negatives=cfg.negatives, epochs=cfg.epochs,
-                                   learning_rate=cfg.learning_rate, seed=seed)
+    walks = generate_walks(graph, cfg, seed=seed)
+    scattered = scattered_skipgram(walks, graph.vocab.entities, cfg, seed=seed)
     dense = embed_graph(graph, cfg, seed=seed)
     assert (baseline_plan(graph, dense, query, cfg.threshold)
             == baseline_plan(graph, scattered, query, cfg.threshold))
@@ -263,24 +251,24 @@ def test_nearest_context_tie_break_threshold_and_exclusion():
         "c": [0.0, 1.0],   # orthogonal
     })
     # a and b tie at similarity 1; lexicographically smallest wins
-    assert nearest_context(emb, "q", ["b", "a", "c"]) == "a"
+    assert nearest_context(emb, "q", ["b", "a", "c"], threshold=0.7) == "a"
     assert nearest_context(emb, "q", ["c"], threshold=0.7) is None
     # the query never matches itself, even when listed
     assert nearest_context(emb, "q", ["q", "c"], threshold=0.7) is None
-    assert nearest_context(emb, "q", []) is None
+    assert nearest_context(emb, "q", [], threshold=0.7) is None
     with pytest.raises(InputError, match="threshold"):
         nearest_context(emb, "q", ["a"], threshold=1.5)
     with pytest.raises(InputError, match="unknown node"):
-        nearest_context(emb, "missing", ["a"])
+        nearest_context(emb, "missing", ["a"], threshold=0.7)
 
 
 def test_nearest_context_zero_vectors_are_errors():
     emb = crafted_embeddings({"q": [0.0, 0.0], "a": [1.0, 0.0]})
     with pytest.raises(ZeroVectorError):
-        nearest_context(emb, "q", ["a"])
+        nearest_context(emb, "q", ["a"], threshold=0.7)
     emb = crafted_embeddings({"q": [1.0, 0.0], "z": [0.0, 0.0]})
     with pytest.raises(ZeroVectorError):
-        nearest_context(emb, "q", ["z"])
+        nearest_context(emb, "q", ["z"], threshold=0.7)
 
 
 def stored_context_and_plan() -> tuple[ContextDescriptor, AssessmentPlan]:
@@ -337,8 +325,18 @@ def test_baseline_plan_no_match_raises():
 def test_baseline_config_validation():
     with pytest.raises(InputError, match="p must be > 0, got 0.0"):
         BaselineConfig(p=0.0)
-    with pytest.raises(InputError, match=">= 1"):
-        BaselineConfig(walk_length=0)
+    with pytest.raises(InputError, match="q must be > 0, got -2.0"):
+        BaselineConfig(q=-2.0)
+    with pytest.raises(InputError, match="learning_rate must be > 0, got 0.0"):
+        BaselineConfig(learning_rate=0.0)
+    for name in ("walk_length", "window"):
+        with pytest.raises(InputError, match=f"{name} must be >= 1, got 0"):
+            BaselineConfig(**{name: 0})
+    for name in ("d", "walks_per_node"):
+        with pytest.raises(InputError, match=f"{name} must be an integer, got 2.5"):
+            BaselineConfig(**{name: 2.5})
+    with pytest.raises(InputError, match="learning_rate must be a number, got 'x'"):
+        BaselineConfig(learning_rate="x")
     with pytest.raises(InputError, match="threshold"):
         BaselineConfig(threshold=2.0)
     for name in ("p", "q", "learning_rate", "threshold"):

@@ -170,6 +170,11 @@ def test_split_determinism_and_bounds(graph50):
         split_train_test(graph50, 1.0, seed=1)
     with pytest.raises(InputError, match="seed must be >= 0, got -1"):
         split_train_test(graph50, 0.2, seed=-1)
+    with pytest.raises(InputError, match=r"test_fraction must be in \(0, 1\), got '0.2'"):
+        split_train_test(graph50, "0.2", seed=0)
+    for seed in (True, 1.5):
+        with pytest.raises(InputError, match=f"seed must be an integer, got {seed}"):
+            split_train_test(graph50, 0.2, seed=seed)
 
 
 def test_split_rejects_tiny_graphs():
