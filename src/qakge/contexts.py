@@ -153,6 +153,15 @@ def attribute_base_name(node: str) -> str:
     return node.split("_attr_", 1)[1] if "_attr_" in node else node
 
 
+def attribute_name(node: str, context_id: str) -> str:
+    """Name of an attribute node as context ``context_id`` reads it. The
+    context's own ``<context_id>_attr_`` prefix is stripped whole, since the
+    id may itself contain ``_attr_``; another context's node loses its
+    namespace by :func:`attribute_base_name`."""
+    prefix = f"{context_id}_attr_"
+    return node[len(prefix):] if node.startswith(prefix) else attribute_base_name(node)
+
+
 @dataclass(frozen=True, slots=True)
 class RuleEdge:
     attribute: str  # namespaced attribute node
@@ -247,7 +256,6 @@ def triples_to_context(graph: TripleGraph, context_id: str) -> ContextDescriptor
     schema, attr_nodes = _schema_and_attributes(graph, context_id)
 
     attributes = []
-    prefix = f"{context_id}_attr_"
     for node in attr_nodes:
         types = [t.target for t in graph.triples if t.source == node and t.relation == REL_TYPE]
         if len(types) != 1:
@@ -258,8 +266,7 @@ def triples_to_context(graph: TripleGraph, context_id: str) -> ContextDescriptor
             a_type = AttributeType(types[0])
         except ValueError:
             raise MalformedContextError(f"attribute {node!r} has unknown type {types[0]!r}") from None
-        name = node[len(prefix):] if node.startswith(prefix) else attribute_base_name(node)
-        attributes.append(Attribute(name, a_type))
+        attributes.append(Attribute(attribute_name(node, context_id), a_type))
 
     values: dict[str, object] = {}
     for field_name, relation in FIELD_RELATIONS:

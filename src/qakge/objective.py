@@ -17,14 +17,16 @@ pairwise hinge over each positive and its eta corruptions,
 plus an L_p penalty over the set of embeddings the batch touches.
 
 :func:`hinge_part` and :func:`regularizer_part` each return their term's
-loss and, given a :class:`Gradients`, accumulate its gradient.
-``training.loss_and_grad`` adds the two; it is the one entry point that
+loss and, given a :class:`Gradients`, its gradient: the hinge's one
+``np.bincount`` scatter is the gradient, and the penalty adds its slope to
+it. ``training.loss_and_grad`` adds the two; it is the one entry point that
 training, validation and the tests share. A step works on rows of the
-model's parameter block, entity and relation rows alike: per batch it
-checks the ids once (:func:`block_slots`), marks the rows they name in one
-mask, gathers the row of every slot once, and scatters, penalizes and
-updates the trained rows in one pass each. Its temporaries, and those of
-the optimizer step, live in the :class:`Arena` a caller passes.
+model's parameter block, entity and relation rows alike: per batch
+:meth:`Gradients.for_batch` checks the ids once (:func:`block_slots`) and
+marks the rows they name in one mask; the step gathers the row of every
+slot once, and scatters, penalizes and updates the trained rows in one
+pass each. Its temporaries, and those of the optimizer step, live in the
+:class:`Arena` a caller passes.
 """
 from __future__ import annotations
 
@@ -115,18 +117,6 @@ def block_slots(batch: TrainingBatch, vocab: Vocabulary) -> np.ndarray:
     return slots
 
 
-def touched_rows(slots: np.ndarray, model: ModelParams, trainable: np.ndarray | None = None):
-    """Mask of the block rows that ``slots`` name and ``trainable`` marks
-    (all of them for None), those rows ascending, and how many of them are
-    entity rows."""
-    touched = np.zeros(len(model.block), dtype=bool)
-    touched[slots] = True
-    if trainable is not None:
-        touched &= trainable
-    rows = np.flatnonzero(touched)
-    return touched, rows, int(np.searchsorted(rows, model.vocab.n_entities))
-
-
 def scatter_rows(
     at: np.ndarray, values: np.ndarray, n_rows: int, table: np.ndarray,
     cells: np.ndarray | None = None,
@@ -162,10 +152,11 @@ class Arena:
     again, hundreds of page faults a batch; the arena's pages are touched
     once, on first use, and unmapped when the last view of it dies.
 
-    ``grads`` holds a step's gradients and ``table`` the cell table of
-    ``scatter_rows`` for ``rows`` rows of 2k floats, written once. The rest
-    is one region that the hinge, the penalty and Adam carve up in turn,
-    since none of their temporaries outlives its phase:
+    ``table`` holds the cell table of ``scatter_rows`` for ``rows`` rows of
+    2k floats, written once. A step's gradient is not here: it is the
+    ``np.bincount`` output of the hinge's scatter. The rest is one region
+    that the hinge, the penalty and Adam carve up in turn, since none of
+    their temporaries outlives its phase:
 
     - hinge: ``gather``, the subject, relation and object rows of every
       triple, and later the kept gradient terms; ``terms``, the subject,
@@ -181,17 +172,16 @@ class Arena:
     def __init__(self, triples: int, k: int, rows: int):
         slots = 3 * triples
         row = 16 * k  # bytes of a complex row, its float view or its int64 cells
-        size = (2 * rows + max(2 * slots, 4 * rows)) * row
+        size = (rows + max(2 * slots, 4 * rows)) * row
         memory = np.frombuffer(mmap.mmap(-1, max(size, 1)), dtype=np.uint8)
 
         def carve(start: int, n: int, dtype, width: int) -> np.ndarray:
             return memory[start * row:(start + n) * row].view(dtype).reshape(n, width)
 
-        self.grads = carve(0, rows, np.complex128, k)
-        self.table = carve(rows, rows, np.int64, 2 * k)
+        self.table = carve(0, rows, np.int64, 2 * k)
         self.table[:] = np.arange(2 * k)
         self.table += np.arange(0, rows * 2 * k, 2 * k)[:, None]
-        scratch = 2 * rows
+        scratch = rows
         self.gather = carve(scratch, slots, np.complex128, k)
         self.terms = carve(scratch + slots, slots, np.complex128, k)
         self.cells = carve(scratch + slots, slots, np.int64, 2 * k)
@@ -227,15 +217,18 @@ class Arena:
 
 @dataclass
 class Gradients:
-    """Gradients over the block rows one batch trains, in a compact complex
-    buffer carved from an :class:`Arena`.
+    """The slots of one batch, the block rows it trains, and, once the
+    hinge has scattered, their gradients.
 
     Row i of ``values`` belongs to block row ``rows[i]``: the first
     ``n_ent`` are entity rows, the rest relation rows. An entry holds
     d/d(real part) plus 1j * d/d(imaginary part) of its parameter.
-    ``slots`` is :func:`block_slots` of the batch, ``at`` the buffer row of
-    each slot, and ``trained`` marks the slots whose row is trained (None
-    when all are); ``at`` means nothing at a slot that is not.
+    ``values`` is None until :func:`hinge_part` stores its scatter's
+    ``np.bincount`` sum there; :func:`regularizer_part` adds its slope to
+    it. ``slots`` is :func:`block_slots` of the batch, ``at`` the row of
+    ``values`` of each slot, and ``trained`` marks the slots whose row is
+    trained (None when all are); ``at`` means nothing at a slot that is
+    not.
     """
 
     slots: np.ndarray
@@ -243,7 +236,7 @@ class Gradients:
     n_ent: int
     at: np.ndarray
     trained: np.ndarray | None
-    values: np.ndarray  # (len(rows), k) complex128
+    values: np.ndarray | None = None  # (len(rows), k) complex128
 
     @property
     def ent_rows(self) -> np.ndarray:
@@ -256,25 +249,27 @@ class Gradients:
 
     @classmethod
     def for_batch(
-        cls, batch: TrainingBatch, model: ModelParams, arena: Arena,
-        trainable: np.ndarray | None = None,
+        cls, batch: TrainingBatch, model: ModelParams, trainable: np.ndarray | None = None,
     ) -> "Gradients":
-        """Zero gradients over the block rows ``batch`` touches; with
-        ``trainable``, a mask over the block, over only those of them it
-        marks. The buffer is ``arena.grads``, which must fit it. An id
-        outside the model's vocabulary raises IndexError."""
+        """The slots of ``batch`` and the block rows they name, ascending;
+        with ``trainable``, a mask over the block, only the rows it marks.
+        An id outside the model's vocabulary raises IndexError."""
         slots = block_slots(batch, model.vocab)
-        touched, rows, n_ent = touched_rows(slots, model, trainable)
+        touched = np.zeros(len(model.block), dtype=bool)
+        touched[slots] = True
+        if trainable is not None:
+            touched &= trainable
+        rows = np.flatnonzero(touched)
+        n_ent = int(np.searchsorted(rows, model.vocab.n_entities))
         at = np.cumsum(touched)[slots] - 1
         trained = None if trainable is None else touched[slots]
-        values = arena.grads[: len(rows)]
-        values.fill(0.0)
-        return cls(slots, rows, n_ent, at, trained, values)
+        return cls(slots, rows, n_ent, at, trained)
 
 
 def _scatter_score_grads(grads: Gradients, coeff: np.ndarray, b: int, arena: Arena) -> None:
-    """Accumulate coeff_t * (d f_t / d parameter) for each triple t of the
-    batch whose rows ``arena.gather`` holds, with one scatter.
+    """Store in ``grads.values`` the sum of coeff_t * (d f_t / d parameter)
+    over the triples t of the batch whose rows ``arena.gather`` holds, made
+    by one scatter.
 
     ``arena.terms`` holds the term of every slot in the order of
     :func:`block_slots`. Its object terms, s * p, are there already; the
@@ -301,8 +296,8 @@ def _scatter_score_grads(grads: Gradients, coeff: np.ndarray, b: int, arena: Are
     # the terms' memory their cells
     values = np.take(terms, kept, axis=0, out=arena.gather[:len(kept)], mode="wrap").view(np.float64)
     values *= slot_coeff[keep][:, None]
-    g = grads.values.view(np.float64)
-    g += scatter_rows(grads.at[kept], values, len(grads.rows), arena.table, arena.cells[:len(kept)])
+    summed = scatter_rows(grads.at[kept], values, len(grads.rows), arena.table, arena.cells[:len(kept)])
+    grads.values = summed.view(np.complex128)
 
 
 def hinge_part(
@@ -310,8 +305,8 @@ def hinge_part(
     grads: Gradients | None = None,
 ) -> float:
     """Hinge loss of the batch, whose :func:`block_slots` are ``slots``,
-    with ``arena`` as scratch; with ``grads``, its gradient is accumulated
-    there.
+    with ``arena`` as scratch; with ``grads``, its gradient is stored in
+    ``grads.values``.
 
     Every subject, relation and object row is gathered once. With
     f = Re(s * p * conj(o)), the complex gradients are
@@ -376,9 +371,9 @@ def regularizer_part(
     """Penalty lam * sum |x|^p over the real and imaginary parts of the
     given block rows, entity rows and then relation rows (relation r is
     block row ``n_entities + r``), with ``arena`` as scratch; with
-    ``grads``, which must cover exactly these rows, d/dx = lam * p *
-    |x|^(p-1) * sign(x) is accumulated there (zero at x = 0, also for
-    p = 1)."""
+    ``grads``, which must cover exactly these rows and hold the hinge's
+    gradient, d/dx = lam * p * |x|^(p-1) * sign(x) is added to it (zero at
+    x = 0, also for p = 1)."""
     if lam == 0.0:
         return 0.0
     rows = np.concatenate((ent_rows, rel_rows)) if grads is None else grads.rows

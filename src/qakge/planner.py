@@ -35,7 +35,7 @@ from .contexts import (
     ContextDescriptor,
     DimensionEdge,
     RuleEdge,
-    attribute_base_name,
+    attribute_name,
     check_integer,
     check_number,
     context_to_triples,
@@ -277,11 +277,12 @@ class PlanComparison:
 def _attribute_coverage(plan: AssessmentPlan, context: ContextDescriptor) -> PlanCoverage:
     """Attributes of ``context`` that the plan assigns at least one rule.
 
-    Matching is by attribute base name so plans copied from another context
-    (whose edges mention that context's attribute nodes) still count.
+    Matching is by attribute name (:func:`attribute_name`), so plans copied
+    from another context (whose edges mention that context's attribute
+    nodes) still count.
     """
     wanted = [a.name for a in context.attributes]
-    have = {attribute_base_name(e.attribute) for e in plan.rule_edges}
+    have = {attribute_name(e.attribute, context.context_id) for e in plan.rule_edges}
     covered = tuple(n for n in wanted if n in have)
     uncovered = tuple(n for n in wanted if n not in have)
     return PlanCoverage(
@@ -317,10 +318,9 @@ def compare_plans(
     )
 
 
-def comparison_report(
-    cmp: PlanComparison, label_a: str = "plan A", label_b: str = "plan B"
-) -> str:
-    """Human-readable comparison summary."""
+def comparison_report(cmp: PlanComparison, label_a: str, label_b: str) -> str:
+    """Human-readable comparison summary, naming the plans ``label_a`` and
+    ``label_b``."""
     lines = [f"context: {cmp.context_id}"]
     for label, cov in ((label_a, cmp.coverage_a), (label_b, cmp.coverage_b)):
         lines.append(

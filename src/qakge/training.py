@@ -15,9 +15,7 @@ import numpy as np
 from .contexts import check_integer, check_number
 from .errors import InputError, TrainingDiverged
 from .model import ModelParams, init_model, score_triples
-from .objective import (
-    Arena, Gradients, TrainingBatch, block_slots, hinge_part, regularizer_part, touched_rows,
-)
+from .objective import Arena, Gradients, TrainingBatch, hinge_part, regularizer_part
 from .sampling import sample_corruptions
 from .triples import TripleGraph
 
@@ -151,17 +149,13 @@ def loss_and_grad(
     grads: Gradients | None = None,
 ) -> float:
     """Hinge + regularizer loss for one batch, with ``arena`` as scratch;
-    with ``grads``, its gradient is accumulated there in place, and the
-    penalty covers only the rows ``grads`` trains (the others add a
-    constant)."""
-    if grads is None:
-        slots = block_slots(batch, model.vocab)
-        _, rows, n_ent = touched_rows(slots, model)
-        ent_rows, rel_rows = rows[:n_ent], rows[n_ent:]
-    else:
-        slots, ent_rows, rel_rows = grads.slots, grads.ent_rows, grads.rel_rows
-    loss = hinge_part(model, batch, hp.margin, slots, arena, grads)
-    loss += regularizer_part(model, ent_rows, rel_rows, hp.reg_p, hp.reg_lambda, arena, grads)
+    with ``grads``, from :meth:`Gradients.for_batch`, its gradient is
+    stored in ``grads.values``, and the penalty covers only the rows
+    ``grads`` trains (the others add a constant)."""
+    found = Gradients.for_batch(batch, model) if grads is None else grads
+    loss = hinge_part(model, batch, hp.margin, found.slots, arena, grads)
+    loss += regularizer_part(model, found.ent_rows, found.rel_rows, hp.reg_p, hp.reg_lambda,
+                             arena, grads)
     return loss
 
 
@@ -228,7 +222,7 @@ def train(
             pos = idx[take]
             neg = sample_corruptions(pos, hp.eta, graph.vocab, rng)
             batch = TrainingBatch(pos, weights[take], neg, hp.eta, beta)
-            grads = Gradients.for_batch(batch, model, arena, trainable)
+            grads = Gradients.for_batch(batch, model, trainable)
             loss = loss_and_grad(model, batch, hp, arena, grads)
             if not np.isfinite(loss):
                 rows = _non_finite_rows(model, batch)

@@ -53,7 +53,7 @@ def dense_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, n
     """Analytic gradient of the training loss, expanded from the compact
     buffer into dense arrays that are zero outside the touched rows."""
     arena = arena_for(model, batch)
-    grads = Gradients.for_batch(batch, model, arena)
+    grads = Gradients.for_batch(batch, model)
     loss_and_grad(model, batch, hp, arena, grads)
     out = {}
     for name, param, (rows, g) in zip(GRAD_NAMES, model.arrays(), gradient_parts(model, grads)):

@@ -8,6 +8,7 @@ from qakge.contexts import (
     DimensionEdge,
     RuleEdge,
     attribute_base_name,
+    attribute_name,
     check_integer,
     check_number,
     context_from_dict,
@@ -166,6 +167,11 @@ def test_attribute_base_name():
     assert attribute_base_name("ctx_full_attr_ts") == "ts"
     assert attribute_base_name("c_attr_x_attr_y") == "x_attr_y"  # first marker wins
     assert attribute_base_name("no_marker") == "no_marker"
+    # a context reads its own nodes by its whole prefix, even when its id
+    # holds the marker, and another context's nodes by their base name
+    assert attribute_name("sensor_attr_log_attr_ts", "sensor_attr_log") == "ts"
+    assert attribute_name("c_attr_x_attr_y", "c") == "x_attr_y"
+    assert attribute_name("donor_attr_ts", "sensor_attr_log") == "ts"
 
 
 def test_plan_validation():

@@ -63,7 +63,7 @@ def test_compact_gradients_equal_add_at_oracle_bit_for_bit():
 
     for model, batch, hp in cases:
         arena = arena_for(model, batch)
-        grads = Gradients.for_batch(batch, model, arena)
+        grads = Gradients.for_batch(batch, model)
         loss_and_grad(model, batch, hp, arena, grads)
         oracle = add_at_gradients(model, batch, hp)
         ent_rows, rel_rows = touched_ids(batch)

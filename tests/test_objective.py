@@ -18,7 +18,6 @@ from qakge.objective import (
     scatter_rows,
     sigmoid,
     softplus,
-    touched_rows,
 )
 from qakge.training import Hyperparams, loss_and_grad
 
@@ -169,9 +168,13 @@ def test_regularizer_part_low_powers_at_zero_and_negative_values():
         model = _zero_model(2, 2)
         for arr, values in zip(model.arrays(), row):
             arr[0] = values
+        # the corruption is the positive, so at margin 0 the hinge is slack
+        # and the step's gradient is the penalty's alone
         pos = np.array([[0, 0, 0]], dtype=np.int64)
+        batch = TrainingBatch(pos, np.ones(1), pos, 1, 1.0)
         arena = arena_for(model)
-        grads = Gradients.for_batch(TrainingBatch(pos, np.ones(1), pos, 1, 1.0), model, arena)
+        grads = Gradients.for_batch(batch, model)
+        assert hinge_part(model, batch, 0.0, grads.slots, arena, grads) == 0.0
         assert regularizer_part(model, np.array([0]), np.array([2]), p, lam, arena, grads) == loss, p
         assert grads.values[:1].real.tolist() == [d_re], p
         assert grads.values[:1].imag.tolist() == [d_im], p
@@ -201,10 +204,11 @@ def test_training_batch_validation():
         TrainingBatch(pos, np.array([0.5, 0.5]), np.zeros((2, 3), dtype=np.int64), 2, 0.5)
     b = TrainingBatch(pos, np.array([0.5]), np.array([[0, 0, 2], [3, 0, 1]], dtype=np.int64), 2, 0.5)
     model = init_model(small_vocab(4, 1), 2, seed=0)
-    slots = block_slots(b, model.vocab)
-    assert slots.tolist() == [0, 0, 3, 4, 4, 4, 1, 2, 1]  # subjects, relations, objects
-    _, rows, n_ent = touched_rows(slots, model)
-    assert rows.tolist() == [0, 1, 2, 3, 4] and n_ent == 4  # relation 0 is block row 4
+    grads = Gradients.for_batch(b, model)
+    assert grads.slots.tolist() == [0, 0, 3, 4, 4, 4, 1, 2, 1]  # subjects, relations, objects
+    assert grads.rows.tolist() == [0, 1, 2, 3, 4] and grads.n_ent == 4  # relation 0 is block row 4
+    assert grads.at.tolist() == grads.slots.tolist() and grads.trained is None
+    assert grads.values is None
 
 
 def test_out_of_range_ids_raise_index_error(model8):
@@ -217,7 +221,7 @@ def test_out_of_range_ids_raise_index_error(model8):
         batch = TrainingBatch(np.array(pos), np.ones(1), np.array(neg), 1, 0.5)
         arena = arena_for(model8, batch)
         with pytest.raises(IndexError):
-            Gradients.for_batch(batch, model8, arena)
+            Gradients.for_batch(batch, model8)
         for lam in (1e-3, 0.0):  # the loss alone, with and without the penalty
             with pytest.raises(IndexError):
                 loss_and_grad(model8, batch, Hyperparams(k=4, reg_lambda=lam), arena)
@@ -240,7 +244,7 @@ def test_loss_is_the_same_with_and_without_gradients(model8):
         batch = random_batch(8, 3, rng, beta=beta)
         arena = arena_for(model8, batch)
         for hp in (Hyperparams(k=4, reg_lambda=1e-3), Hyperparams(k=4, reg_lambda=0.0)):
-            grads = Gradients.for_batch(batch, model8, arena)
+            grads = Gradients.for_batch(batch, model8)
             with_grads = loss_and_grad(model8, batch, hp, arena, grads)
             assert with_grads == loss_and_grad(model8, batch, hp, arena)
             assert np.abs(grads.values).max() > 0.0

@@ -332,6 +332,25 @@ def test_compare_plans_numbers():
     assert cmp.only_b == ()
 
 
+def test_compare_plans_reads_a_context_id_that_holds_the_attribute_marker():
+    # `qakge profile` names a context after its file, so sensor_attr_log.csv
+    # gives attribute nodes like sensor_attr_log_attr_x
+    ctx = ContextDescriptor(
+        context_id="sensor_attr_log",
+        data_type="structured",
+        attributes=(Attribute("x", "numeric"), Attribute("y", "text")),
+    )
+    plan = AssessmentPlan(
+        "sensor_attr_log",
+        rule_edges=(RuleEdge(ctx.attribute_node("x"), "range_check", 0.9),
+                    RuleEdge(ctx.attribute_node("y"), "null_count", 0.7)),
+        dimension_edges=(),
+    )
+    cmp = compare_plans(plan, plan, ctx)
+    assert cmp.coverage_a.covered == cmp.coverage_b.covered == ("x", "y")
+    assert "a: covers 2/2 attributes" in comparison_report(cmp, "a", "b")
+
+
 def test_compare_plans_rejects_mismatched_ids():
     plan_a, plan_b, ctx = two_plans()
     stranger = AssessmentPlan("elsewhere", plan_b.rule_edges, plan_b.dimension_edges)

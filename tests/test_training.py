@@ -8,7 +8,7 @@ import pytest
 
 from qakge.errors import InputError, TrainingDiverged
 from qakge.model import ModelParams, init_model
-from qakge.objective import Gradients, TrainingBatch, regularizer_part
+from qakge.objective import Gradients, TrainingBatch, hinge_part, regularizer_part
 from qakge.contexts import from_json_object
 from qakge import training
 from qakge.training import Hyperparams, beta_value, loss_and_grad, train
@@ -173,9 +173,9 @@ def test_fold_in_with_every_relation_frozen_skips_the_relation_terms(monkeypatch
 
     def spy(model, batch, hp, arena, grads=None):
         loss = loss_and_grad(model, batch, hp, arena, grads)
-        own = arena_for(model, batch)  # the step's arena holds its gradients
+        own = arena_for(model, batch)  # the step's arena fits only the rows it trains
         live = Gradients.for_batch(
-            batch, model, own, np.concatenate([fresh, np.ones(graph.vocab.n_relations, bool)]))
+            batch, model, np.concatenate([fresh, np.ones(graph.vocab.n_relations, bool)]))
         loss_and_grad(model, batch, hp, own, live)
         assert grads.values.shape == (grads.n_ent, hp.k) and len(grads.rel_rows) == 0
         assert np.array_equal(grads.ent_rows, live.ent_rows)
@@ -189,19 +189,17 @@ def test_fold_in_with_every_relation_frozen_skips_the_relation_terms(monkeypatch
 
 
 def _poisoned(monkeypatch):
-    """Make ``train`` fill its arena with NaN before every batch, and its
-    scratch region again before the penalty and the Adam step, so a cell
-    read before it is written turns the parameters into NaN."""
+    """Make ``train`` fill its arena's scratch region with NaN before the
+    hinge, the penalty and the Adam step of every batch, so a cell read
+    before it is written turns the parameters into NaN."""
 
-    def poison(arena, *views):
-        for view in (arena.gather, arena.terms, arena.cells, *arena.rows, *views):
+    def poison(arena):
+        for view in (arena.gather, arena.terms, arena.cells, *arena.rows):
             view.view(np.float64)[...] = np.nan
 
-    class PoisonedGradients(Gradients):
-        @classmethod
-        def for_batch(cls, batch, model, arena, trainable=None):
-            poison(arena, arena.grads)
-            return Gradients.for_batch(batch, model, arena, trainable)
+    def hinge(model, batch, margin, slots, arena, grads=None):
+        poison(arena)
+        return hinge_part(model, batch, margin, slots, arena, grads)
 
     def penalty(model, ent_rows, rel_rows, p, lam, arena, grads=None):
         poison(arena)
@@ -213,7 +211,7 @@ def _poisoned(monkeypatch):
         poison(arena)
         return step(self, model, grads, arena)
 
-    monkeypatch.setattr(training, "Gradients", PoisonedGradients)
+    monkeypatch.setattr(training, "hinge_part", hinge)
     monkeypatch.setattr(training, "regularizer_part", penalty)
     monkeypatch.setattr(training._Adam, "step", adam_step)
 
@@ -240,7 +238,8 @@ def test_adam_step_leaves_untouched_rows_and_corrects_with_the_global_count():
 
     def step(pos, neg):
         batch = TrainingBatch(np.array(pos), np.ones(len(pos)), np.array(neg), 1, 1.0)
-        grads = Gradients.for_batch(batch, model, arena)
+        grads = Gradients.for_batch(batch, model)
+        grads.values = np.zeros((len(grads.rows), model.k), dtype=np.complex128)
         for _, g in gradient_parts(model, grads):
             g[:] = rng.normal(size=g.shape)
         adam.step(model, grads, arena)
