@@ -7,7 +7,6 @@ schemas), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import re
 import sys
@@ -24,6 +23,7 @@ from .contexts import (
     plan_from_dict,
     plan_to_dict,
     save_json,
+    to_json_object,
 )
 from .errors import InputError, QakgeError
 from .evaluation import PROTOCOLS, evaluate
@@ -71,17 +71,21 @@ def load_run_config(path: str | None) -> RunConfig:
     return from_json_object(RunConfig, load_json(path), "config")
 
 
+def _with_flags(section, **flags):
+    """``section`` with each flag that was given in place of its config
+    value: a flag left out is None, so a given one, ``--seed 0`` included,
+    always wins."""
+    return replace(section, **{name: value for name, value in flags.items() if value is not None})
+
+
 def _default_context_id(data_path: str) -> str:
     stem = re.sub(r"[^A-Za-z0-9_]+", "_", Path(data_path).stem).strip("_").lower()
     return stem or "dataset"
 
 
 def cmd_synth(args) -> int:
-    cfg = load_run_config(args.config).generator
-    if args.contexts is not None:
-        cfg = replace(cfg, n_contexts=args.contexts)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _with_flags(load_run_config(args.config).generator,
+                      n_contexts=args.contexts, seed=args.seed)
     graph, plans = generate_synthetic_graph(cfg)
     save_triples_csv(graph, args.out)
     if args.ground_truth_out:
@@ -105,11 +109,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_train(args) -> int:
-    hp = load_run_config(args.config).hyperparams
-    if args.seed is not None:
-        hp = replace(hp, seed=args.seed)
-    if args.epochs is not None:
-        hp = replace(hp, epochs=args.epochs)
+    hp = _with_flags(load_run_config(args.config).hyperparams, seed=args.seed, epochs=args.epochs)
     graph = load_triples_csv(args.graph, percent=args.percent)
     if args.test_fraction != 0:
         train_graph, test_graph = split_train_test(graph, args.test_fraction, hp.seed)
@@ -118,8 +118,8 @@ def cmd_train(args) -> int:
     model, report = train(train_graph, hp)
     save_checkpoint(model, args.out)
     if args.report_out:
-        doc = report.to_dict()
-        doc["hyperparams"] = hp.to_dict()
+        doc = to_json_object(report)
+        doc["hyperparams"] = to_json_object(hp)
         doc["n_train"] = len(train_graph)
         doc["n_test"] = len(test_graph) if test_graph is not None else 0
         save_json(doc, args.report_out)
@@ -131,9 +131,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    hp = load_run_config(args.config).hyperparams
-    if args.seed is not None:
-        hp = replace(hp, seed=args.seed)
+    hp = _with_flags(load_run_config(args.config).hyperparams, seed=args.seed)
     model = load_checkpoint(args.model)
     graph = load_triples_csv(args.graph, percent=args.percent)
     ensure_same_vocab(model.vocab, graph.vocab)
@@ -155,22 +153,17 @@ def cmd_eval(args) -> int:
 
 def cmd_plan(args) -> int:
     cfg = load_run_config(args.config)
-    hp = cfg.hyperparams
-    if args.seed is not None:
-        hp = replace(hp, seed=args.seed)
-    if args.epochs is not None:
-        hp = replace(hp, epochs=args.epochs)
-    tau = args.tau if args.tau is not None else cfg.planner.tau
-    top_m = args.top_m if args.top_m is not None else cfg.planner.top_m
+    hp = _with_flags(cfg.hyperparams, seed=args.seed, epochs=args.epochs)
+    planner = _with_flags(cfg.planner, tau=args.tau, top_m=args.top_m)
     graph = load_triples_csv(args.graph, percent=args.percent)
     ctx = context_from_dict(load_json(args.context))
     warm = load_checkpoint(args.warm_start) if args.warm_start else None
-    plan, prov = generate_plan(graph, ctx, hp, tau, top_m, warm_start=warm)
+    plan, prov = generate_plan(graph, ctx, hp, planner.tau, planner.top_m, warm_start=warm)
     meta = {
         "method": "link_prediction",
-        "hyperparams": hp.to_dict(),
-        "tau": tau,
-        "top_m": top_m,
+        "hyperparams": to_json_object(hp),
+        "tau": planner.tau,
+        "top_m": planner.top_m,
         "seconds": prov.seconds,
         "final_epoch_loss": prov.train_report.losses[-1],
     }
@@ -184,22 +177,19 @@ def cmd_plan(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    cfg = load_run_config(args.config).baseline
-    if args.threshold is not None:
-        cfg = replace(cfg, threshold=args.threshold)
-    seed = args.seed if args.seed is not None else 0
+    cfg = _with_flags(load_run_config(args.config).baseline, threshold=args.threshold)
     graph = load_triples_csv(args.graph, percent=args.percent)
     ctx = context_from_dict(load_json(args.context))
     if ctx.context_id in graph.vocab.entity_index:
         raise InputError(f"context id collision: {ctx.context_id!r} already in graph")
     merged = graph.extended(context_to_triples(ctx))
-    embeddings = embed_graph(merged, cfg, seed=seed)
+    embeddings = embed_graph(merged, cfg, seed=args.seed)
     plan = baseline_plan(merged, embeddings, ctx, threshold=cfg.threshold)
     meta = {
         "method": "walk_retrieval",
         "threshold": cfg.threshold,
-        "seed": seed,
-        "config": dataclasses.asdict(cfg),
+        "seed": args.seed,
+        "config": to_json_object(cfg),
     }
     save_json(plan_to_dict(plan, None, meta), args.out)
     print(
@@ -245,9 +235,7 @@ def _comparison_dict(cmp, label_a: str, label_b: str) -> dict:
 
 
 def cmd_gridsearch(args) -> int:
-    base = load_run_config(args.config).hyperparams
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
+    base = _with_flags(load_run_config(args.config).hyperparams, seed=args.seed)
     graph = load_triples_csv(args.graph, percent=args.percent)
     train_graph, valid_graph = split_train_test(graph, args.test_fraction, base.seed)
     grid = load_json(args.grid)
@@ -257,7 +245,7 @@ def cmd_gridsearch(args) -> int:
         if not isinstance(values, list):
             raise InputError(f"grid entry {name!r} must be a list")
     best, leaderboard = grid_search(train_graph, valid_graph, grid, args.budget_epochs, base)
-    save_json({"best": best.to_dict(), "leaderboard": leaderboard}, args.leaderboard_out)
+    save_json({"best": to_json_object(best), "leaderboard": leaderboard}, args.leaderboard_out)
     top = leaderboard[0]
     print(f"best of {len(leaderboard)}: {top['params']} (val_mrr {top['val_mrr']:.6f})")
     return 0
@@ -331,7 +319,7 @@ def build_parser() -> _Parser:
     p.add_argument("--context", required=True, help="context descriptor JSON")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--out", required=True, help="output plan JSON")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_baseline)
 

@@ -4,6 +4,12 @@ A context describes a dataset (schema, provenance, size, domain, governance)
 and maps onto a star-shaped subgraph rooted at the context node. Assessment
 plans are edge sets linking schema attributes to quality measures and those
 measures to quality dimensions.
+
+JSON documents and config sections have one reader, :func:`from_json_object`,
+and one writer, :func:`to_json_object`. The writer lists a dataclass's fields
+in declaration order, so a context document follows :data:`FIELD_RELATIONS`.
+Only the evaluation metrics and the comparison report, which leave out or
+derive fields, are written by their own code.
 """
 from __future__ import annotations
 
@@ -94,7 +100,9 @@ class ContextDescriptor:
 
     ``data_type``, ``data_source``, ``size_bucket``, ``domain`` and
     ``file_format`` are plain text (empty string means unknown, no edge is
-    emitted); the remaining fields are optional.
+    emitted); the remaining fields are optional. The fields after
+    ``attributes`` follow :data:`FIELD_RELATIONS`, the order a context
+    document lists them in.
     """
 
     context_id: str
@@ -102,10 +110,10 @@ class ContextDescriptor:
     attributes: tuple[Attribute, ...]
     data_source: str = ""
     size_bucket: str = ""
-    domain: str = ""
-    file_format: str = ""
     analysis_scope: str | None = None
+    domain: str = ""
     content_type: str | None = None
+    file_format: str = ""
     org_standards: tuple[str, ...] | None = None
     org_policies: tuple[str, ...] | None = None
     security_level: str | None = None
@@ -320,22 +328,8 @@ def plan_to_triples(plan: AssessmentPlan) -> list[WeightedTriple]:
 # --- JSON encodings ---------------------------------------------------------
 
 def context_to_dict(ctx: ContextDescriptor) -> dict:
-    return {
-        "context_id": ctx.context_id,
-        "data_type": ctx.data_type,
-        "attributes": [{"name": a.name, "type": a.type.value} for a in ctx.attributes],
-        "data_source": ctx.data_source,
-        "size_bucket": ctx.size_bucket,
-        "analysis_scope": ctx.analysis_scope,
-        "domain": ctx.domain,
-        "content_type": ctx.content_type,
-        "file_format": ctx.file_format,
-        "org_standards": list(ctx.org_standards) if ctx.org_standards is not None else None,
-        "org_policies": list(ctx.org_policies) if ctx.org_policies is not None else None,
-        "security_level": ctx.security_level,
-        "est_resources": ctx.est_resources,
-        "est_time": ctx.est_time,
-    }
+    """Context as a JSON-ready dict, its fields in declaration order."""
+    return to_json_object(ctx)
 
 
 def context_from_dict(doc: dict) -> ContextDescriptor:
@@ -352,23 +346,12 @@ def context_from_dict(doc: dict) -> ContextDescriptor:
 def plan_to_dict(plan: AssessmentPlan, raw_scores: dict[tuple[str, str], float] | None = None,
                  model_meta: dict | None = None) -> dict:
     """Plan as a JSON-ready dict; optional per-edge raw scores and model metadata."""
-    def rule_entry(e: RuleEdge) -> dict:
-        entry = {"attribute": e.attribute, "rule": e.rule, "weight": e.weight}
-        if raw_scores is not None and (e.attribute, e.rule) in raw_scores:
-            entry["raw_score"] = raw_scores[(e.attribute, e.rule)]
-        return entry
-
-    def dim_entry(e: DimensionEdge) -> dict:
-        entry = {"rule": e.rule, "dimension": e.dimension, "weight": e.weight}
-        if raw_scores is not None and (e.rule, e.dimension) in raw_scores:
-            entry["raw_score"] = raw_scores[(e.rule, e.dimension)]
-        return entry
-
-    doc = {
-        "context_id": plan.context_id,
-        "rule_edges": [rule_entry(e) for e in plan.rule_edges],
-        "dimension_edges": [dim_entry(e) for e in plan.dimension_edges],
-    }
+    doc = to_json_object(plan)
+    if raw_scores is not None:
+        for entry in doc["rule_edges"] + doc["dimension_edges"]:
+            ends = tuple(entry.values())[:2]  # an edge's two ends precede its weight
+            if ends in raw_scores:
+                entry["raw_score"] = raw_scores[ends]
     if model_meta is not None:
         doc["model_meta"] = model_meta
     return doc
@@ -404,7 +387,7 @@ def load_json(path: str | Path) -> dict | list:
     if not p.is_file():
         raise InputError(f"no such file: {p}")
     try:
-        with open(p, encoding="utf-8") as f:
+        with open(p, encoding="utf-8-sig") as f:
             return json.load(f)
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
@@ -440,6 +423,23 @@ def from_json_object(cls, doc, what: str):
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed {what}: {exc}") from exc
+
+
+def to_json_object(obj):
+    """The JSON value of ``obj``, the inverse of :func:`from_json_object` and
+    the one way every document the program writes is built.
+
+    An enum becomes its value, a tuple or list an array, and a dataclass an
+    object with its fields in declaration order; every other value is
+    written as it is.
+    """
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (tuple, list)):
+        return [to_json_object(v) for v in obj]
+    if is_dataclass(obj):
+        return {f.name: to_json_object(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
 
 
 def is_list_of(value, kind) -> bool:

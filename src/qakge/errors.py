@@ -81,6 +81,15 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def parse_number(text: str) -> float:
+    """The real number that a file's cell ``text`` spells, as :func:`float`
+    reads it, except that a ``_`` is refused: ``float("5_0")`` is 50.0, but
+    no file means a digit separator. Raises ``ValueError``."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return float(text)
+
+
 def check_integer(name: str, value, low: int) -> None:
     """Raise an :class:`InputError` naming ``name`` unless ``value`` is an
     integer of at least ``low``."""

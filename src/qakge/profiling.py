@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .contexts import AttributeType, ContextDescriptor, context_from_dict, size_bucket_for_rows
-from .errors import InputError
+from .errors import InputError, parse_number
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +36,7 @@ _SLASH_DATE_YMD = re.compile(r"^\d{4}/(\d{1,2})/(\d{1,2})$")
 
 def _is_number(value: str) -> bool:
     try:
-        float(value)
+        parse_number(value)
     except ValueError:
         return False
     return True
@@ -117,7 +117,7 @@ def profile_dataset(
     if not p.is_file():
         raise InputError(f"no such file: {p}")
     try:
-        with open(p, newline="", encoding="utf-8") as f:
+        with open(p, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f, delimiter=delimiter)
             header = next(reader, None)
             if header is None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class Hyperparams:
         if not isinstance(self.focuse, bool):
             raise InputError(f"focuse must be true or false, got {self.focuse!r}")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def beta_value(epoch: int, hp: Hyperparams) -> float:
     """Modulation strength for an epoch: linear from 1 down to 0.
@@ -86,14 +83,6 @@ class TrainReport:
     wall_time: float
     final_beta: float
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "losses": self.losses,
-            "wall_time": self.wall_time,
-            "final_beta": self.final_beta,
-            "seed": self.seed,
-        }
 
 
 class _Adam:

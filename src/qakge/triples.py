@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CsvFormatError, InputError, check_integer, is_number
+from .errors import CsvFormatError, InputError, check_integer, is_number, parse_number
 
 logger = logging.getLogger(__name__)
 
@@ -170,7 +170,7 @@ def load_triples_csv(path: str | Path, *, percent: bool = False) -> TripleGraph:
         raise InputError(f"no such file: {p}")
     rows: list[WeightedTriple] = []
     try:
-        with open(p, newline="", encoding="utf-8") as f:
+        with open(p, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f)
             header = next(reader, None)
             if header is None or tuple(header) != CSV_HEADER:
@@ -187,7 +187,7 @@ def load_triples_csv(path: str | Path, *, percent: bool = False) -> TripleGraph:
                     weight = 1.0
                 else:
                     try:
-                        weight = float(raw_w)
+                        weight = parse_number(raw_w)
                     except ValueError:
                         raise CsvFormatError(f"{p}:{lineno}: weight not a number: {raw_w!r}") from None
                     if percent:

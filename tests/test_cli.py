@@ -441,3 +441,24 @@ def test_synth_flags_override_config(capsys, tmp_path):
     graph = load_triples_csv(str(out))
     schemas = {t.source for t in graph.triples if t.relation == "hasSchema"}
     assert len(schemas) == 3
+    # a given seed wins even when it is 0, the value a truth test would drop
+    code, text, _ = run(capsys, "synth", "--config", str(cfg_path), "--seed", "0",
+                        "--out", str(out))
+    assert code == 0
+    assert "(2 contexts, seed 0)" in text
+
+
+def test_plan_flags_override_the_planner_section(capsys, world):
+    tmp_path, graph_path, ctx_path = world
+    cfg_path = write_json(tmp_path / "cfg.json", {"hyperparams": {"epochs": 2, "seed": 4},
+                                                  "planner": {"tau": 0.9, "top_m": 5}})
+    out = tmp_path / "plan.json"
+    base = ("plan", "--graph", graph_path, "--context", ctx_path, "--config", cfg_path,
+            "--out", str(out))
+    assert run(capsys, *base)[0] == 0
+    meta = json.loads(out.read_text())["model_meta"]
+    assert (meta["tau"], meta["top_m"], meta["hyperparams"]["seed"]) == (0.9, 5, 4)
+    assert run(capsys, *base, "--tau", "0.25", "--top-m", "1", "--seed", "0")[0] == 0
+    meta = json.loads(out.read_text())["model_meta"]
+    assert (meta["tau"], meta["top_m"], meta["hyperparams"]["seed"]) == (0.25, 1, 0)
+    assert meta["hyperparams"]["epochs"] == 2  # config survives where no flag given

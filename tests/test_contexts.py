@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from qakge.contexts import (
@@ -15,15 +17,21 @@ from qakge.contexts import (
     context_to_dict,
     context_to_triples,
     extract_plan,
+    from_json_object,
     load_json,
     plan_from_dict,
     plan_to_dict,
     plan_to_triples,
     save_json,
     size_bucket_for_rows,
+    to_json_object,
     triples_to_context,
 )
+from qakge.cli import PlannerConfig, RunConfig
 from qakge.errors import InputError, MalformedContextError
+from qakge.node2vec import BaselineConfig
+from qakge.synth import GeneratorConfig
+from qakge.training import Hyperparams
 from qakge.triples import TripleGraph, WeightedTriple
 
 
@@ -222,12 +230,12 @@ def test_extract_plan_follows_graph_order():
 def test_context_json_round_trip(tmp_path):
     for ctx in (minimal_context(), full_context()):
         doc = context_to_dict(ctx)
-        assert set(doc) == {
+        assert list(doc) == [
             "context_id", "data_type", "attributes", "data_source", "size_bucket",
             "analysis_scope", "domain", "content_type", "file_format",
             "org_standards", "org_policies", "security_level", "est_resources",
             "est_time",
-        }
+        ]
         assert context_from_dict(doc) == ctx
         path = tmp_path / f"{ctx.context_id}.json"
         save_json(doc, path)
@@ -262,6 +270,37 @@ def test_plan_json_round_trip(tmp_path):
     path = tmp_path / "plan.json"
     save_json(doc, path)
     assert plan_from_dict(load_json(path)) == plan
+
+
+def test_every_written_document_reads_back_what_was_written():
+    configs = (
+        Hyperparams(k=12, eta=3, learning_rate=1e-2, focuse=False, beta_decay_epochs=7, seed=9),
+        GeneratorConfig(n_contexts=3, seed=0, attrs_per_context=(2, 5), domain_pool=("iot",)),
+        BaselineConfig(p=0.5, walks_per_node=2, d=16, threshold=0.0),
+        PlannerConfig(tau=0.25, top_m=1),
+        RunConfig(hyperparams=Hyperparams(epochs=4), generator=GeneratorConfig(seed=2),
+                  baseline=BaselineConfig(window=2), planner=PlannerConfig(top_m=2)),
+    )
+    for config in configs:
+        doc = json.loads(json.dumps(to_json_object(config)))
+        assert from_json_object(type(config), doc, "config") == config
+    for ctx in (minimal_context(), full_context()):
+        assert context_from_dict(json.loads(json.dumps(context_to_dict(ctx)))) == ctx
+    plan = AssessmentPlan(
+        "ctx_min",
+        (RuleEdge("ctx_min_attr_a1", "null_count", 0.25),
+         RuleEdge("ctx_min_attr_a2", "null_count", 1.0)),
+        (DimensionEdge("null_count", "completeness", 0.75),),
+    )
+    raw = {("ctx_min_attr_a1", "null_count"): 0.5, ("null_count", "completeness"): -2.0}
+    for doc in (plan_to_dict(plan), plan_to_dict(plan, raw, {"method": "test"})):
+        assert plan_from_dict(json.loads(json.dumps(doc))) == plan
+
+
+def test_load_json_reads_a_byte_order_mark(tmp_path):
+    p = tmp_path / "excel.json"
+    p.write_bytes(b'\xef\xbb\xbf{"context_id": "c"}')
+    assert load_json(p) == {"context_id": "c"}
 
 
 def test_load_json_reports_position(tmp_path):

@@ -97,6 +97,21 @@ def test_profile_errors(tmp_path):
         profile_dataset(empty_name, {"context_id": "c"})
 
 
+def test_digit_separators_are_not_numbers():
+    # float("2024_01") is 202401.0
+    assert infer_attribute_type(["2024_01", "2024_02"]) is AttributeType.TEXT
+    assert infer_attribute_type(["1_000"] * 2 + ["7"] * 18) is AttributeType.TEXT  # 18/20
+    assert infer_attribute_type(["1_000"] + ["7"] * 19) is AttributeType.NUMERIC  # 19/20
+
+
+def test_profile_reads_a_byte_order_mark(tmp_path):
+    p = tmp_path / "excel.csv"
+    p.write_bytes(b"\xef\xbb\xbftemperature,site\n21.5,lab\n")
+    ctx = profile_dataset(p, {"context_id": "c"})
+    assert [(a.name, a.type) for a in ctx.attributes] == [
+        ("temperature", AttributeType.NUMERIC), ("site", AttributeType.TEXT)]
+
+
 def test_profile_rejects_non_utf8(tmp_path):
     p = tmp_path / "latin.csv"
     p.write_bytes(b"site\ncaf\xe9\n")

@@ -9,7 +9,7 @@ import pytest
 from qakge.errors import InputError, TrainingDiverged
 from qakge.model import ModelParams, init_model
 from qakge.objective import Gradients, TrainingBatch, hinge_part, regularizer_part
-from qakge.contexts import from_json_object
+from qakge.contexts import from_json_object, to_json_object
 from qakge import training
 from qakge.training import Hyperparams, beta_value, loss_and_grad, train
 from qakge.triples import Vocabulary
@@ -298,7 +298,7 @@ def test_hyperparams_validation():
 
 def test_hyperparams_dict_round_trip():
     hp = Hyperparams(k=12, eta=3, focuse=False, beta_decay_epochs=7)
-    assert from_json_object(Hyperparams, hp.to_dict(), "hyperparameter") == hp
+    assert from_json_object(Hyperparams, to_json_object(hp), "hyperparameter") == hp
     with pytest.raises(InputError, match="unknown"):
         from_json_object(Hyperparams, {"k": 4, "momentum": 0.9}, "hyperparameter")
     with pytest.raises(InputError, match="JSON object"):

@@ -95,6 +95,22 @@ def test_csv_percent_mode(tmp_path):
     assert weights[("c", "r", "d")] == 1.0  # absent weight is not scaled
 
 
+def test_csv_reads_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with one
+    p = tmp_path / "g.csv"
+    p.write_bytes(b"\xef\xbb\xbfsource,relation,target,weight\na,r,b,0.5\n")
+    assert [(t.key, t.weight) for t in load_triples_csv(p)] == [(("a", "r", "b"), 0.5)]
+
+
+@pytest.mark.parametrize("weight", ["5_0", "1_00", "0.2_5"])
+def test_csv_weight_with_a_digit_separator_is_not_a_number(tmp_path, weight):
+    # float("5_0") is 50.0, which --percent would read as 0.5
+    p = tmp_path / "g.csv"
+    p.write_text(f"source,relation,target,weight\na,r,b,{weight}\n")
+    with pytest.raises(CsvFormatError, match=r"g\.csv:2: weight not a number"):
+        load_triples_csv(p, percent=True)
+
+
 def test_csv_errors_carry_line_numbers(tmp_path):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("s,p,o,w\na,r,b,0.5\n")
