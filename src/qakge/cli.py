@@ -208,7 +208,7 @@ def cmd_compare(args) -> int:
     labels = stems if stems[0] != stems[1] else (args.plan_a, args.plan_b)
     print(comparison_report(cmp, *labels))
     if args.json_out:
-        save_json(_comparison_dict(cmp, *stems), args.json_out)
+        save_json(_comparison_dict(cmp, *labels), args.json_out)
     return 0
 
 

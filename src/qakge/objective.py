@@ -57,16 +57,9 @@ def _softplus(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sigmoid(x) given z = exp(-|x|)."""
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def focuse_alpha(weights, beta, is_positive: bool):
-    """FocusE factor alpha of the raw scores of positives with edge weights
-    ``weights`` (is_positive), or of the corruptions of such positives. The
-    modulated score is alpha * softplus(raw). Accepts scalars or arrays."""
-    influence = weights if is_positive else 1.0 - weights
-    return beta + (1.0 - beta) * influence
+    """sigmoid(x) given z = exp(-|x|): 1 / (1 + z) where x >= 0, else
+    z / (1 + z), with one division of the same operands."""
+    return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,8 @@ class TrainingBatch:
             )
         if self.pos.shape[0] != self.pos_weights.shape[0]:
             raise InputError("one weight per positive required")
-        if self.pos_weights.min(initial=0.0) < 0.0 or self.pos_weights.max(initial=1.0) > 1.0:
+        w = self.pos_weights
+        if np.minimum.reduce(w, initial=0.0) < 0.0 or np.maximum.reduce(w, initial=1.0) > 1.0:
             raise InputError("edge weights must lie in [0, 1]")
         if not (0.0 <= self.beta <= 1.0):
             raise InputError(f"beta must lie in [0, 1], got {self.beta}")
@@ -107,13 +101,14 @@ def block_slots(batch: TrainingBatch, vocab: Vocabulary) -> np.ndarray:
     """
     slots = np.concatenate((batch.pos, batch.neg)).T.reshape(-1)  # a copy, by kind
     kinds = slots.reshape(3, -1)
-    sizes = (vocab.n_entities, vocab.n_relations, vocab.n_entities)
-    if kinds.min(initial=0) < 0 or (kinds.max(axis=1, initial=-1) >= sizes).any():
-        for name, ids, size in zip(("subject", "relation", "object"), kinds, sizes):
+    n, m = vocab.n_entities, vocab.n_relations
+    top_s, top_p, top_o = np.maximum.reduce(kinds, axis=1, initial=-1).tolist()
+    if np.minimum.reduce(slots, initial=0) < 0 or top_s >= n or top_p >= m or top_o >= n:
+        for name, ids, size in zip(("subject", "relation", "object"), kinds, (n, m, n)):
             bad = ids[(ids < 0) | (ids >= size)]
             if bad.size:
                 raise IndexError(f"{name} id {bad[0]} is out of range for {size} rows")
-    kinds[1] += vocab.n_entities
+    kinds[1] += n
     return slots
 
 
@@ -133,12 +128,15 @@ def scatter_rows(
     [0, n_rows) raises IndexError, checked here because the take would
     silently wrap it.
     """
+    width = table.shape[1]
+    if not at.size:  # np.bincount would count nothing as int64
+        return np.zeros((n_rows, width))
     limit = min(n_rows, len(table))
-    if at.size and (at.min() < 0 or at.max() >= limit):
+    if np.minimum.reduce(at) < 0 or np.maximum.reduce(at) >= limit:
         raise IndexError(f"scatter target rows span [{at.min()}, {at.max()}], outside [0, {limit})")
-    cells = np.take(table, at, axis=0, out=cells, mode="wrap")
-    summed = np.bincount(cells.ravel(), weights=values.ravel(), minlength=n_rows * table.shape[1])
-    return summed.reshape(n_rows, table.shape[1])
+    cells = table.take(at, 0, cells, "wrap")
+    summed = np.bincount(cells.ravel(), weights=values.ravel(), minlength=n_rows * width)
+    return summed.reshape(n_rows, width)
 
 
 class Arena:
@@ -163,7 +161,9 @@ class Arena:
       object and relation terms of every triple, whose memory then holds
       ``cells``, the int64 cell indices of the kept terms for
       ``scatter_rows``;
-    - penalty and Adam: ``rows``, four (rows, 2k) float matrices.
+    - penalty and Adam: ``rows``, four (rows, 2k) float matrices, stacked
+      as one (4, rows, 2k) array so that one slice cuts all four to a
+      step's rows.
 
     It also keeps the scatter order of each batch size the hinge has seen
     (:meth:`_scatter_order`).
@@ -185,7 +185,7 @@ class Arena:
         self.gather = carve(scratch, slots, np.complex128, k)
         self.terms = carve(scratch + slots, slots, np.complex128, k)
         self.cells = carve(scratch + slots, slots, np.int64, 2 * k)
-        self.rows = [carve(scratch + i * rows, rows, np.float64, 2 * k) for i in range(4)]
+        self.rows = carve(scratch, 4 * rows, np.float64, 2 * k).reshape(4, rows, 2 * k)
         self._orders: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def _scatter_order(self, b: int, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,10 +259,11 @@ class Gradients:
         touched[slots] = True
         if trainable is not None:
             touched &= trainable
-        rows = np.flatnonzero(touched)
-        n_ent = int(np.searchsorted(rows, model.vocab.n_entities))
-        at = np.cumsum(touched)[slots] - 1
-        trained = None if trainable is None else touched[slots]
+        rows = touched.nonzero()[0]
+        n_ent = int(rows.searchsorted(model.vocab.n_entities))
+        at = touched.cumsum().take(slots)
+        at -= 1
+        trained = None if trainable is None else touched.take(slots)
         return cls(slots, rows, n_ent, at, trained)
 
 
@@ -287,16 +288,17 @@ def _scatter_score_grads(grads: Gradients, coeff: np.ndarray, b: int, arena: Are
         np.conjugate(s, out=terms[t:2 * t])
         terms[t:2 * t] *= o
     order, triple = arena._scatter_order(b, t)
-    slot_coeff = coeff[triple]
+    slot_coeff = coeff.take(triple)
     keep = slot_coeff != 0.0
     if grads.trained is not None:
-        keep &= grads.trained[order]
+        keep &= grads.trained.take(order)
     kept = order[keep]
     # the terms have been read: the gather buffer takes the kept ones, and
     # the terms' memory their cells
-    values = np.take(terms, kept, axis=0, out=arena.gather[:len(kept)], mode="wrap").view(np.float64)
+    values = terms.take(kept, 0, arena.gather[:len(kept)], "wrap").view(np.float64)
     values *= slot_coeff[keep][:, None]
-    summed = scatter_rows(grads.at[kept], values, len(grads.rows), arena.table, arena.cells[:len(kept)])
+    summed = scatter_rows(grads.at.take(kept), values, len(grads.rows), arena.table,
+                          arena.cells[:len(kept)])
     grads.values = summed.view(np.complex128)
 
 
@@ -318,26 +320,27 @@ def hinge_part(
     strictly positive violations propagate.
     """
     b, t = len(batch.pos), len(slots) // 3
-    gathered = np.take(model.block, slots, axis=0, out=arena.gather[:3 * t], mode="wrap")
+    gathered = model.block.take(slots, 0, arena.gather[:3 * t], "wrap")
     s, p, o = gathered[:t], gathered[t:2 * t], gathered[2 * t:]
     sp = np.multiply(s, p, out=arena.terms[2 * t:3 * t])
     # Re(a * conj(b)) summed over a row is the dot product of the float rows
     f = np.einsum("ij,ij->i", sp.view(np.float64), o.view(np.float64))
-    w = batch.pos_weights
-    alpha = np.concatenate((focuse_alpha(w, batch.beta, True),
-                            np.repeat(focuse_alpha(w, batch.beta, False), batch.eta)))
+    # the FocusE factor of every triple, beta + (1 - beta) * influence: the
+    # influence of a positive is its weight w, that of each corruption 1 - w
+    w, beta = batch.pos_weights, batch.beta
+    alpha = beta + (1.0 - beta) * np.concatenate((w, (1.0 - w).repeat(batch.eta)))
     z = np.exp(-np.abs(f))  # shared by softplus and, for the gradient, sigmoid
     g = alpha * _softplus(f, z)
     viol = margin + g[b:].reshape(b, batch.eta) - g[:b, None]
     active = viol > 0.0
-    loss = float(viol[active].sum()) if active.any() else 0.0
+    loss = float(np.add.reduce(viol[active]))  # 0.0 when every pair is slack
     if grads is None:
         return loss
 
     # dL/df = -alpha * sigmoid(f) * (#active pairs) for a positive, and
     # alpha * sigmoid(f) for each active pair's corruption
     coeff = alpha * _sigmoid(f, z)
-    coeff *= np.concatenate((-active.sum(axis=1), active.reshape(-1)))
+    coeff *= np.concatenate((-np.add.reduce(active, 1), active.reshape(-1)))
     _scatter_score_grads(grads, coeff, b, arena)
     return loss
 
@@ -378,10 +381,10 @@ def regularizer_part(
         return 0.0
     rows = np.concatenate((ent_rows, rel_rows)) if grads is None else grads.rows
     size, split = len(rows), len(ent_rows)
-    x_buf, a_buf, slope_buf = arena.rows[:3]
-    x = np.take(model.block.view(np.float64), rows, axis=0, out=x_buf[:size], mode="wrap")
-    a = np.abs(x, out=a_buf[:size])
-    slope = int_power(a, p - 1, slope_buf[:size])  # |x|^(p-1)
+    x, a, slope = arena.rows[:3, :size]
+    model.block.view(np.float64).take(rows, 0, x, "wrap")
+    np.abs(x, out=a)
+    int_power(a, p - 1, slope)  # |x|^(p-1)
     # sum of |x|^p, over the entity rows and then the relation rows
     loss = float(np.dot(slope[:split].ravel(), a[:split].ravel()))
     loss += float(np.dot(slope[split:].ravel(), a[split:].ravel()))

@@ -39,16 +39,19 @@ def sample_corruptions(
     repl = rng.integers(0, n, size=total)
     cell = np.arange(0, 3 * total, 3)
     cell += 2 * side
-    bad = repl == flat[cell]
+    hit = (repl == flat.take(cell)).nonzero()[0]
 
-    # with n >= 2 each redraw clears a row with probability >= 1/2, so the
-    # loop ends after a few passes
-    while bad.any():
-        hit = np.flatnonzero(bad)
+    # only the rows that still collide are carried, in ascending order, so
+    # each pass draws for them as redrawing every colliding row would; with
+    # n >= 2 each redraw clears a row with probability >= 1/2, so the loop
+    # ends after a few passes
+    while hit.size:
         side = rng.integers(0, 2, size=hit.size)
-        repl[hit] = rng.integers(0, n, size=hit.size)
-        cell[hit] = 3 * hit + 2 * side
-        bad[hit] = repl[hit] == flat[cell[hit]]
+        drawn = rng.integers(0, n, size=hit.size)
+        at = 3 * hit + 2 * side
+        repl[hit] = drawn
+        cell[hit] = at
+        hit = hit[drawn == flat.take(at)]
 
     flat[cell] = repl
     return out

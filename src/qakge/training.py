@@ -7,6 +7,7 @@ final parameters bit for bit.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -109,16 +110,16 @@ class _Adam:
         bc2 = 1.0 - ADAM_BETA2**self.t
         scale = self.lr / (1.0 - ADAM_BETA1**self.t)
         m, v = self.m, self.v
-        scratch, m_rows, v_rows, p_rows = (buf[: len(rows)] for buf in arena.rows)
+        scratch, m_rows, v_rows, p_rows = arena.rows[:, :len(rows)]
         g = grads.values.view(np.float64)
         np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
-        np.take(m, rows, axis=0, out=m_rows, mode="wrap")
+        m.take(rows, 0, m_rows, "wrap")
         m_rows *= ADAM_BETA1
         m_rows += scratch  # beta1 * m + (1 - beta1) * g
         m[rows] = m_rows
         np.square(g, out=scratch)
         scratch *= 1.0 - ADAM_BETA2
-        np.take(v, rows, axis=0, out=v_rows, mode="wrap")
+        v.take(rows, 0, v_rows, "wrap")
         v_rows *= ADAM_BETA2
         v_rows += scratch  # beta2 * v + (1 - beta2) * g^2
         v[rows] = v_rows
@@ -128,7 +129,7 @@ class _Adam:
         m_rows *= scale
         m_rows /= scratch  # scale * m / (sqrt(v / bc2) + eps)
         param = model.block.view(np.float64)
-        np.take(param, rows, axis=0, out=p_rows, mode="wrap")
+        param.take(rows, 0, p_rows, "wrap")
         p_rows -= m_rows
         param[rows] = p_rows
 
@@ -197,8 +198,8 @@ def train(
 
     rng = np.random.default_rng((hp.seed, 1))
     adam = _Adam(model, hp.learning_rate)
-    n = idx.shape[0]
-    arena = Arena.for_batches(min(n, hp.batch_size), hp.eta, hp.k, n_ent, n_rel)
+    n, size, eta, vocab = idx.shape[0], hp.batch_size, hp.eta, graph.vocab
+    arena = Arena.for_batches(min(n, size), eta, hp.k, n_ent, n_rel)
     losses: list[float] = []
     beta = beta_value(0, hp)
     started = time.perf_counter()
@@ -206,14 +207,14 @@ def train(
         beta = beta_value(epoch, hp)
         perm = rng.permutation(n)
         epoch_loss = 0.0
-        for batch_no, start in enumerate(range(0, n, hp.batch_size)):
-            take = perm[start : start + hp.batch_size]
-            pos = idx[take]
-            neg = sample_corruptions(pos, hp.eta, graph.vocab, rng)
-            batch = TrainingBatch(pos, weights[take], neg, hp.eta, beta)
+        for batch_no, start in enumerate(range(0, n, size)):
+            take = perm[start : start + size]
+            pos = idx.take(take, 0)
+            neg = sample_corruptions(pos, eta, vocab, rng)
+            batch = TrainingBatch(pos, weights.take(take), neg, eta, beta)
             grads = Gradients.for_batch(batch, model, trainable)
             loss = loss_and_grad(model, batch, hp, arena, grads)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 rows = _non_finite_rows(model, batch)
                 raise TrainingDiverged(epoch, batch_no, rows)
             adam.step(model, grads, arena)

@@ -15,7 +15,7 @@ from qakge.node2vec import (
     AdjacencyStructure, BaselineConfig, NodeEmbeddings, transition_probs, window_pairs,
 )
 from qakge.objective import (
-    Arena, Gradients, TrainingBatch, focuse_alpha, int_power, scatter_rows, sigmoid, softplus,
+    Arena, Gradients, TrainingBatch, int_power, scatter_rows, sigmoid, softplus,
 )
 from qakge.training import loss_and_grad
 from qakge.triples import TripleGraph, Vocabulary, WeightedTriple
@@ -24,8 +24,13 @@ GRAD_NAMES = ("ent_re", "ent_im", "rel_re", "rel_im")
 
 
 def modulated(raw, weight, beta, is_positive: bool):
-    """FocusE-modulated score alpha * softplus(raw)."""
-    return focuse_alpha(np.asarray(weight, dtype=np.float64), beta, is_positive) * softplus(raw)
+    """FocusE-modulated score alpha * softplus(raw) of a positive with edge
+    weight ``weight`` (is_positive), or of a corruption of such a positive:
+    alpha = beta + (1 - beta) * influence, where the influence is the weight,
+    or 1 - weight for a corruption."""
+    weight = np.asarray(weight, dtype=np.float64)
+    influence = weight if is_positive else 1.0 - weight
+    return (beta + (1.0 - beta) * influence) * softplus(raw)
 
 
 def touched_ids(batch: TrainingBatch) -> tuple[np.ndarray, np.ndarray]:

@@ -232,6 +232,7 @@ def test_compare_command_prints_and_saves(capsys, tmp_path):
     assert f"{same_b}: covers 1/2 attributes" in out
     doc = json.loads(json_out.read_text())
     assert doc["plan_a"]["fraction"] == 1.0 and doc["plan_b"]["covered"] == ["x"]
+    assert doc["plan_a"]["label"] == same_a and doc["plan_b"]["label"] == same_b
 
     mismatched = write_json(tmp_path / "other.json",
                             plan_to_dict(AssessmentPlan("elsewhere", plan_b.rule_edges,

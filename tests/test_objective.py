@@ -80,6 +80,16 @@ def test_sigmoid_stability():
     assert sigmoid(-1000.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_sigmoid_is_the_two_branch_formula_bit_for_bit():
+    # one division of where(x >= 0, 1, z) by 1 + z divides the operands of
+    # the two-branch form, so every bit agrees, subnormal and zero results too
+    x = np.array([sign * v for v in (0.0, 1e-300, 1.0, 745.0, 1000.0) for sign in (1.0, -1.0)])
+    z = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    got = sigmoid(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_modulation_worked_examples():
     # full structural influence: weights invisible, g = softplus(f)
     assert modulated(0.0, 0.3, 1.0, True) == pytest.approx(math.log(2.0), abs=1e-15)
@@ -262,6 +272,26 @@ def test_scatter_rows_matches_add_at_bit_for_bit():
                              (np.arange(n_rows * 6).reshape(n_rows, 6), None)):
             got = scatter_rows(at, values, n_rows, table, cells)
             assert got.shape == (n_rows, 6) and np.array_equal(got, want)
+
+
+def test_scatter_rows_of_nothing_is_float_zeros():
+    table = np.arange(4 * 6).reshape(4, 6)
+    for n_rows in (3, 0):
+        got = scatter_rows(np.zeros(0, np.int64), np.zeros((0, 6)), n_rows, table)
+        assert got.dtype == np.float64 and got.shape == (n_rows, 6) and not got.any()
+
+
+def test_an_all_slack_batch_has_zero_float_gradients():
+    # each corruption is its positive, so at margin 0 every pair is slack
+    # and the hinge scatters no term
+    model = init_model(small_vocab(4, 2), 3, seed=0)
+    pos = np.array([[0, 0, 1], [2, 1, 3]], dtype=np.int64)
+    batch = TrainingBatch(pos, np.array([0.5, 1.0]), pos.repeat(2, axis=0), 2, 0.5)
+    grads = Gradients.for_batch(batch, model)
+    assert hinge_part(model, batch, 0.0, grads.slots, arena_for(model, batch), grads) == 0.0
+    assert grads.values.dtype == np.complex128 and grads.values.shape == (len(grads.rows), 3)
+    assert grads.values.base.dtype == np.float64  # the memory under the complex view
+    assert not grads.values.any()
 
 
 def test_scatter_rows_rejects_targets_outside_its_rows():
