@@ -21,17 +21,23 @@ loss and, given a :class:`Gradients`, its gradient: the hinge's one
 ``np.bincount`` scatter is the gradient, and the penalty adds its slope to
 it. ``training.loss_and_grad`` adds the two; it is the one entry point that
 training, validation and the tests share. A step works on rows of the
-model's parameter block, entity and relation rows alike: per batch
-:meth:`Gradients.for_batch` checks the ids once (:func:`block_slots`) and
-marks the rows they name in one mask; the step gathers the row of every
-slot once, and scatters, penalizes and updates the trained rows in one
-pass each. Its temporaries, and those of the optimizer step, live in the
-:class:`Arena` a caller passes.
+model's parameter block, entity and relation rows alike. Before any of
+them runs, :meth:`Gradients.for_steps` prepares a chunk of consecutive
+steps from their ids alone: one range check (:func:`block_slots`) and one
+row mask, a row of the block per step, find every step's slots and
+trained rows. A chunk holds as many steps as fit in ``CHUNK_SLOTS`` slots
+(:func:`chunk_steps`), so each of its arrays holds at most 64 KiB, unless
+one step alone needs more, whatever the length of the run or the size of
+the graph. The step then gathers the row of every slot once, and
+scatters, penalizes and updates the trained rows in one pass each. Its
+temporaries, and those of the optimizer step, live in the :class:`Arena`
+a caller passes.
 """
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -89,26 +95,46 @@ class TrainingBatch:
             raise InputError(f"beta must lie in [0, 1], got {self.beta}")
 
 
-def block_slots(batch: TrainingBatch, vocab: Vocabulary) -> np.ndarray:
-    """Block row of every slot of the batch's T = B * (1 + eta) triples,
-    positives first: T subjects, then T relations (relation p is block row
-    ``n_entities + p``), then T objects.
+# slots one chunk of training steps prepares at once (64 KiB of int64)
+CHUNK_SLOTS = 1 << 13
+
+
+def chunk_steps(slots: int, rows: int) -> int:
+    """Steps one chunk holds when each step names up to ``slots`` slots of
+    a block of ``rows`` rows: each takes its slots or, when more, its row of
+    the chunk's row mask out of ``CHUNK_SLOTS``; at least one step."""
+    return max(1, CHUNK_SLOTS // max(slots, rows))
+
+
+def block_slots(steps: Sequence[tuple[np.ndarray, np.ndarray]], vocab: Vocabulary) -> np.ndarray:
+    """Block row of every slot of consecutive steps, each given as its
+    positives and corruptions, T = B * (1 + eta) triples: step after step,
+    its T subjects, then T relations (relation p is block row
+    ``n_entities + p``), then T objects, positives first. For the steps of
+    one chunk, the result and its by-kind copy hold at most
+    ``CHUNK_SLOTS`` ids each, or one step's when that is more.
 
     An id outside the vocabulary raises IndexError. It is checked here, once
-    per batch, because the step gathers block rows with
+    for all the steps, because a step gathers block rows with
     ``np.take(mode="wrap")``: an entity id of ``n_entities`` would read the
     first relation row, and a negative id would wrap.
     """
-    slots = np.concatenate((batch.pos, batch.neg)).T.reshape(-1)  # a copy, by kind
-    kinds = slots.reshape(3, -1)
+    # C order: the per-kind reductions of a transposed view would be strided
+    kinds = np.concatenate([part for pair in steps for part in pair]).T.copy()
     n, m = vocab.n_entities, vocab.n_relations
     top_s, top_p, top_o = np.maximum.reduce(kinds, axis=1, initial=-1).tolist()
-    if np.minimum.reduce(slots, initial=0) < 0 or top_s >= n or top_p >= m or top_o >= n:
+    if np.minimum.reduce(kinds, None, initial=0) < 0 or top_s >= n or top_p >= m or top_o >= n:
         for name, ids, size in zip(("subject", "relation", "object"), kinds, (n, m, n)):
             bad = ids[(ids < 0) | (ids >= size)]
             if bad.size:
                 raise IndexError(f"{name} id {bad[0]} is out of range for {size} rows")
     kinds[1] += n
+    slots = np.empty(kinds.size, dtype=np.int64)
+    start = 0
+    for pos, neg in steps:
+        stop = start + len(pos) + len(neg)
+        slots[3 * start:3 * stop].reshape(3, stop - start)[...] = kinds[:, start:stop]
+        start = stop
     return slots
 
 
@@ -217,8 +243,8 @@ class Arena:
 
 @dataclass
 class Gradients:
-    """The slots of one batch, the block rows it trains, and, once the
-    hinge has scattered, their gradients.
+    """The slots of one step's batch, the block rows it trains, and, once
+    the hinge has scattered, their gradients.
 
     Row i of ``values`` belongs to block row ``rows[i]``: the first
     ``n_ent`` are entity rows, the rest relation rows. An entry holds
@@ -228,7 +254,8 @@ class Gradients:
     it. ``slots`` is :func:`block_slots` of the batch, ``at`` the row of
     ``values`` of each slot, and ``trained`` marks the slots whose row is
     trained (None when all are); ``at`` means nothing at a slot that is
-    not.
+    not. ``slots``, ``rows``, ``at`` and ``trained`` are views of the arrays
+    of the chunk :meth:`for_steps` prepared.
     """
 
     slots: np.ndarray
@@ -251,20 +278,53 @@ class Gradients:
     def for_batch(
         cls, batch: TrainingBatch, model: ModelParams, trainable: np.ndarray | None = None,
     ) -> "Gradients":
-        """The slots of ``batch`` and the block rows they name, ascending;
-        with ``trainable``, a mask over the block, only the rows it marks.
-        An id outside the model's vocabulary raises IndexError."""
-        slots = block_slots(batch, model.vocab)
-        touched = np.zeros(len(model.block), dtype=bool)
-        touched[slots] = True
+        """:meth:`for_steps` of the one step ``batch``."""
+        return cls.for_steps([(batch.pos, batch.neg)], model, trainable)[0]
+
+    @classmethod
+    def for_steps(
+        cls, steps: Sequence[tuple[np.ndarray, np.ndarray]], model: ModelParams,
+        trainable: np.ndarray | None = None,
+    ) -> list["Gradients"]:
+        """For each of the consecutive ``steps``, given as its positives and
+        corruptions, its slots and the block rows they name, ascending; with
+        ``trainable``, a mask over the block, only the rows it marks. An id
+        outside the model's vocabulary raises IndexError.
+
+        The steps share one range check (:func:`block_slots`) and one row
+        mask, a row of the block per step, and each step's arrays are views
+        of the chunk's; :func:`chunk_steps` bounds how many steps that
+        memory holds.
+        """
+        slots = block_slots(steps, model.vocab)
+        width = len(model.block)
+        sizes = [3 * (len(pos) + len(neg)) for pos, neg in steps]
+        offsets = np.arange(0, len(steps) * width, width)  # each step's first mask cell
+        cell = offsets.repeat(sizes)
+        cell += slots  # the mask cell of every slot
+        touched = np.zeros((len(steps), width), dtype=bool)
+        mask = touched.reshape(-1)
+        mask[cell] = True
         if trainable is not None:
             touched &= trainable
-        rows = touched.nonzero()[0]
-        n_ent = int(rows.searchsorted(model.vocab.n_entities))
-        at = touched.cumsum().take(slots)
-        at -= 1
-        trained = None if trainable is None else touched.take(slots)
-        return cls(slots, rows, n_ent, at, trained)
+        rows = mask.nonzero()[0]  # ascending, so step by step
+        ends = rows.searchsorted(offsets + width)
+        firsts = np.concatenate(([0], ends[:-1]))
+        ent_ends = rows.searchsorted(offsets + model.vocab.n_entities).tolist()
+        counts = ends - firsts
+        # the index of each trained cell among its step's rows
+        index = np.zeros(len(mask), dtype=np.intp)
+        index[rows] = np.arange(len(rows)) - firsts.repeat(counts)
+        at = index.take(cell)
+        rows -= offsets.repeat(counts)
+        trained = None if trainable is None else mask.take(cell)
+        found, start = [], 0
+        for size, first, end, ent_end in zip(sizes, firsts.tolist(), ends.tolist(), ent_ends):
+            cut = slice(start, start + size)
+            found.append(cls(slots[cut], rows[first:end], ent_end - first, at[cut],
+                             None if trained is None else trained[cut]))
+            start += size
+        return found
 
 
 def _scatter_score_grads(grads: Gradients, coeff: np.ndarray, b: int, arena: Arena) -> None:

@@ -32,7 +32,9 @@ def sample_corruptions(
     if n < 2:
         raise InputError(f"entity pool of size {n}: cannot corrupt")
 
-    total = batch.shape[0] * eta
+    # every draw's size is a 0-d array: numpy checks it faster than a
+    # Python int, and draws the same numbers
+    total = np.array(batch.shape[0] * eta)
     out = batch.repeat(eta, axis=0)
     flat = out.reshape(-1)  # corruption i's subject is cell 3i, its object 3i + 2
     side = rng.integers(0, 2, size=total)  # 0 -> subject, 1 -> object
@@ -46,8 +48,9 @@ def sample_corruptions(
     # n >= 2 each redraw clears a row with probability >= 1/2, so the loop
     # ends after a few passes
     while hit.size:
-        side = rng.integers(0, 2, size=hit.size)
-        drawn = rng.integers(0, n, size=hit.size)
+        count = np.array(hit.size)
+        side = rng.integers(0, 2, size=count)
+        drawn = rng.integers(0, n, size=count)
         at = 3 * hit + 2 * side
         repl[hit] = drawn
         cell[hit] = at

@@ -2,7 +2,10 @@
 
 All randomness (shuffling, corruption draws) flows from one seeded generator
 owned by :func:`train`, so a (graph, hyperparams) pair fully determines the
-final parameters bit for bit.
+final parameters bit for bit. :func:`train` draws and prepares a chunk of
+consecutive steps before it runs them (``objective.CHUNK_SLOTS``); the
+draws come in the same order as one step at a time, so the chunk size
+changes no number.
 """
 from __future__ import annotations
 
@@ -10,13 +13,16 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .contexts import check_integer, check_number
 from .errors import InputError, TrainingDiverged
 from .model import ModelParams, init_model, score_triples
-from .objective import Arena, Gradients, TrainingBatch, hinge_part, regularizer_part
+from .objective import (
+    Arena, Gradients, TrainingBatch, chunk_steps, hinge_part, regularizer_part,
+)
 from .sampling import sample_corruptions
 from .triples import TripleGraph
 
@@ -139,7 +145,7 @@ def loss_and_grad(
     grads: Gradients | None = None,
 ) -> float:
     """Hinge + regularizer loss for one batch, with ``arena`` as scratch;
-    with ``grads``, from :meth:`Gradients.for_batch`, its gradient is
+    with ``grads``, from :meth:`Gradients.for_steps`, its gradient is
     stored in ``grads.values``, and the penalty covers only the rows
     ``grads`` trains (the others add a constant)."""
     found = Gradients.for_batch(batch, model) if grads is None else grads
@@ -200,33 +206,53 @@ def train(
     adam = _Adam(model, hp.learning_rate)
     n, size, eta, vocab = idx.shape[0], hp.batch_size, hp.eta, graph.vocab
     arena = Arena.for_batches(min(n, size), eta, hp.k, n_ent, n_rel)
+    per_chunk = chunk_steps(3 * min(n, size) * (1 + eta), len(model.block))
+    last = (n - 1) // size  # number of each epoch's last batch
+    steps = _schedule(n, size, hp, rng)
     losses: list[float] = []
-    beta = beta_value(0, hp)
+    epoch_loss = 0.0
     started = time.perf_counter()
-    for epoch in range(hp.epochs):
-        beta = beta_value(epoch, hp)
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for batch_no, start in enumerate(range(0, n, size)):
-            take = perm[start : start + size]
+    while True:
+        # preparation: every draw of the chunk's steps, in step order, and
+        # their slots and rows; the steps then only touch parameters
+        drawn = []
+        for epoch, batch_no, beta, take in islice(steps, per_chunk):
             pos = idx.take(take, 0)
             neg = sample_corruptions(pos, eta, vocab, rng)
-            batch = TrainingBatch(pos, weights.take(take), neg, eta, beta)
-            grads = Gradients.for_batch(batch, model, trainable)
+            drawn.append((epoch, batch_no, beta, pos, weights.take(take), neg))
+        if not drawn:
+            break
+        found = Gradients.for_steps([(pos, neg) for *_, pos, _, neg in drawn], model, trainable)
+        for (epoch, batch_no, beta, pos, w, neg), grads in zip(drawn, found):
+            batch = TrainingBatch(pos, w, neg, eta, beta)
             loss = loss_and_grad(model, batch, hp, arena, grads)
             if not math.isfinite(loss):
                 rows = _non_finite_rows(model, batch)
                 raise TrainingDiverged(epoch, batch_no, rows)
             adam.step(model, grads, arena)
+            grads.values = None  # spent: the chunk holds no step's gradient
             epoch_loss += loss
-        losses.append(epoch_loss)
+            if batch_no == last:
+                losses.append(epoch_loss)
+                epoch_loss = 0.0
     report = TrainReport(
         losses=losses,
         wall_time=time.perf_counter() - started,
-        final_beta=beta,
+        final_beta=beta_value(hp.epochs - 1, hp),
         seed=hp.seed,
     )
     return model, report
+
+
+def _schedule(n: int, size: int, hp: Hyperparams, rng: np.random.Generator):
+    """(epoch, batch number, beta, rows of the index arrays) of every step
+    of a run over ``n`` triples; each epoch's permutation is drawn from
+    ``rng`` when its first step is reached."""
+    for epoch in range(hp.epochs):
+        beta = beta_value(epoch, hp)
+        perm = rng.permutation(n)
+        for batch_no, start in enumerate(range(0, n, size)):
+            yield epoch, batch_no, beta, perm[start : start + size]
 
 
 def _non_finite_rows(model: ModelParams, batch: TrainingBatch) -> list[int]:

@@ -17,7 +17,9 @@ from qakge.node2vec import (
 from qakge.objective import (
     Arena, Gradients, TrainingBatch, int_power, scatter_rows, sigmoid, softplus,
 )
-from qakge.training import loss_and_grad
+from qakge import training
+from qakge.sampling import sample_corruptions
+from qakge.training import beta_value, loss_and_grad
 from qakge.triples import TripleGraph, Vocabulary, WeightedTriple
 
 GRAD_NAMES = ("ent_re", "ent_im", "rel_re", "rel_im")
@@ -230,6 +232,43 @@ def random_batch(n_entities: int, n_relations: int, rng: np.random.Generator,
     side = rng.integers(0, 2, n_pos * eta)
     neg[np.arange(n_pos * eta), side * 2] = rng.integers(0, n_entities, n_pos * eta)
     return TrainingBatch(pos, np.asarray(weights, dtype=np.float64), neg, eta, beta)
+
+
+def step_by_step_train(graph: TripleGraph, hp, base: ModelParams | None = None):
+    """``train`` written one step at a time: each batch draws its
+    permutation slice and corruptions right before its own step, and finds
+    its rows with ``Gradients.for_batch``. Returns the model, the per-epoch
+    loss trace, and the (epoch, batch, triple rows) of the first non-finite
+    loss, or None when every loss is finite."""
+    idx, weights = graph.index_arrays()
+    n = graph.vocab.n_entities
+    if base is None:
+        model, trainable = init_model(graph.vocab, hp.k, hp.seed), None
+    else:
+        model, trainable = training._fold_in(graph, hp, base)
+        touches = trainable[idx[:, 0]] | trainable[n + idx[:, 1]] | trainable[idx[:, 2]]
+        idx, weights = idx[touches], weights[touches]
+    rng = np.random.default_rng((hp.seed, 1))
+    adam = training._Adam(model, hp.learning_rate)
+    arena = Arena.for_batches(min(len(idx), hp.batch_size), hp.eta, hp.k, n,
+                              graph.vocab.n_relations)
+    losses = []
+    for epoch in range(hp.epochs):
+        perm = rng.permutation(len(idx))
+        epoch_loss = 0.0
+        for batch_no, start in enumerate(range(0, len(idx), hp.batch_size)):
+            take = perm[start:start + hp.batch_size]
+            pos = idx[take]
+            neg = sample_corruptions(pos, hp.eta, graph.vocab, rng)
+            batch = TrainingBatch(pos, weights[take], neg, hp.eta, beta_value(epoch, hp))
+            grads = Gradients.for_batch(batch, model, trainable)
+            loss = loss_and_grad(model, batch, hp, arena, grads)
+            if not math.isfinite(loss):
+                return model, losses, (epoch, batch_no, training._non_finite_rows(model, batch))
+            adam.step(model, grads, arena)
+            epoch_loss += loss
+        losses.append(epoch_loss)
+    return model, losses, None
 
 
 def step_by_step_walks(graph: TripleGraph, cfg: BaselineConfig, seed: int) -> list[np.ndarray]:

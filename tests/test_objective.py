@@ -51,7 +51,8 @@ def _hinge(g_pos, g_neg, margin: float) -> float:
     triples = np.array([[0, 0, j] for j in range(1, len(g) + 1)], dtype=np.int64)
     b = len(g_pos)
     batch = TrainingBatch(triples[:b], np.ones(b), triples[b:], len(g_neg) // b, 1.0)
-    return hinge_part(model, batch, margin, block_slots(batch, model.vocab), arena_for(model, batch))
+    return hinge_part(model, batch, margin, block_slots([(batch.pos, batch.neg)], model.vocab),
+                       arena_for(model, batch))
 
 
 def _penalty(row, p: int, lam: float) -> float:
@@ -235,6 +236,29 @@ def test_out_of_range_ids_raise_index_error(model8):
         for lam in (1e-3, 0.0):  # the loss alone, with and without the penalty
             with pytest.raises(IndexError):
                 loss_and_grad(model8, batch, Hyperparams(k=4, reg_lambda=lam), arena)
+
+
+def test_steps_prepared_together_match_the_plain_formulas(model8):
+    # 8 entities and 3 relations; the second step is a short one
+    rng = np.random.default_rng(7)
+    batches = [random_batch(8, 3, rng, n_pos=n) for n in (6, 2, 6, 5)]
+    steps = [(b.pos, b.neg) for b in batches]
+    for trainable in (None, np.arange(11) % 3 != 1):
+        live = np.ones(11, dtype=bool) if trainable is None else trainable
+        for batch, got in zip(batches, Gradients.for_steps(steps, model8, trainable)):
+            slots = np.concatenate((batch.pos, batch.neg)).T.copy()
+            slots[1] += 8
+            slots = slots.ravel()
+            kept = live[slots]
+            rows = np.unique(slots[kept])
+            assert np.array_equal(got.slots, slots)
+            assert np.array_equal(got.rows, rows) and got.n_ent == np.count_nonzero(rows < 8)
+            assert np.array_equal(got.at[kept], rows.searchsorted(slots[kept]))
+            assert got.trained is None if trainable is None else np.array_equal(got.trained, kept)
+    # one range check covers every step and names the kind of the bad id
+    late = steps[:2] + [(np.array([[0, 3, 1]]), np.array([[2, 0, 1]]))]
+    with pytest.raises(IndexError, match="relation id 3 is out of range for 3 rows"):
+        Gradients.for_steps(late, model8)
 
 
 def test_loss_and_grad_is_finite_and_deterministic(model8):

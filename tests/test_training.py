@@ -10,11 +10,11 @@ from qakge.errors import InputError, TrainingDiverged
 from qakge.model import ModelParams, init_model
 from qakge.objective import Gradients, TrainingBatch, hinge_part, regularizer_part
 from qakge.contexts import from_json_object, to_json_object
-from qakge import training
+from qakge import objective, training
 from qakge.training import Hyperparams, beta_value, loss_and_grad, train
 from qakge.triples import Vocabulary
 
-from .helpers import arena_for, gradient_parts, toy_graph, touched_ids
+from .helpers import arena_for, gradient_parts, step_by_step_train, toy_graph, touched_ids
 
 SMALL = Hyperparams(k=6, eta=2, batch_size=16, learning_rate=1e-3, epochs=4, seed=3)
 
@@ -58,6 +58,65 @@ def test_divergence_reports_location_and_rows():
     assert err.triple_rows == sorted(err.triple_rows)
     assert all(isinstance(r, int) for r in err.triple_rows)
     assert "non-finite" in str(err)
+
+
+def _chunks_of(monkeypatch, steps: int, hp: Hyperparams) -> None:
+    """Let one chunk of ``train`` hold ``steps`` full batches of ``hp``; a
+    toy-graph batch names more slots than the graph's block has rows."""
+    monkeypatch.setattr(objective, "CHUNK_SLOTS", steps * 3 * hp.batch_size * (1 + hp.eta),
+                        raising=False)
+
+
+@pytest.mark.parametrize("fold_in", [False, True])
+def test_chunk_boundaries_are_invisible(monkeypatch, fold_in):
+    graph = toy_graph()
+    hp = dataclasses.replace(SMALL, epochs=5)
+    base = None
+    n = len(graph)
+    if fold_in:  # entities e00, e01 and relation r0 are new
+        base = init_model(Vocabulary.from_names(graph.vocab.entities[2:], graph.vocab.relations[1:]),
+                          hp.k, seed=999)
+        n = sum(t.relation == "r0" or t.source in ("e00", "e01") or t.target in ("e00", "e01")
+                for t in graph)
+    want, want_losses, diverged = step_by_step_train(graph, hp, base)
+    assert diverged is None
+    _chunks_of(monkeypatch, 3, hp)
+    # each epoch ends in a short batch, and the run spans at least 3 chunks
+    assert n % hp.batch_size and hp.epochs * math.ceil(n / hp.batch_size) > 2 * 3
+    model, report = train(graph, hp, base=base)
+    for got, expected in zip(model.arrays(), want.arrays()):
+        assert np.array_equal(got, expected)
+    assert report.losses == want_losses
+
+
+@pytest.mark.parametrize("chunk_slots, per_chunk", [(1, 1), (3 * 3 * 16 * 3, 3)])
+def test_a_chunk_draws_every_step_before_it_runs_them(monkeypatch, chunk_slots, per_chunk):
+    graph = toy_graph()  # 4 batches an epoch, the last a short one
+    calls = []
+    draw, run = training.sample_corruptions, training.loss_and_grad
+    monkeypatch.setattr(training, "sample_corruptions", lambda *a: calls.append("draw") or draw(*a))
+    monkeypatch.setattr(training, "loss_and_grad", lambda *a: calls.append("step") or run(*a))
+    monkeypatch.setattr(objective, "CHUNK_SLOTS", chunk_slots)  # 1: at least one step a chunk
+    train(graph, SMALL)
+    steps, want = SMALL.epochs * 4, []
+    for start in range(0, steps, per_chunk):
+        size = min(per_chunk, steps - start)
+        want += ["draw"] * size + ["step"] * size
+    assert calls == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_divergence_in_a_later_chunk_reports_its_own_step(monkeypatch):
+    graph = toy_graph()
+    hp = dataclasses.replace(SMALL, learning_rate=1e120, batch_size=4, reg_p=2)
+    _, _, diverged = step_by_step_train(graph, hp)
+    epoch, batch_no, rows = diverged
+    step = epoch * math.ceil(len(graph) / hp.batch_size) + batch_no
+    _chunks_of(monkeypatch, 2, hp)
+    assert step >= 2 and step % 2  # after the first step of a later chunk
+    with pytest.raises(TrainingDiverged) as info:
+        train(graph, hp)
+    assert (info.value.epoch, info.value.batch, info.value.triple_rows) == (epoch, batch_no, rows)
 
 
 def test_beta_schedule():
