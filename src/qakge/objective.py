@@ -17,15 +17,16 @@ pairwise hinge over each positive and its eta corruptions,
 plus an L_p penalty over the set of embeddings the batch touches.
 
 :func:`hinge_part` and :func:`regularizer_part` each return their term's
-loss and, given a :class:`Gradients`, its gradient: the hinge's one
-``np.bincount`` scatter is the gradient, and the penalty adds its slope to
-it. ``training.loss_and_grad`` adds the two; it is the one entry point that
-training, validation and the tests share. A step works on rows of the
-model's parameter block, entity and relation rows alike. Before any of
-them runs, :meth:`Gradients.for_steps` prepares a chunk of consecutive
-steps from their ids alone: one range check (:func:`block_slots`) and one
-row mask, a row of the block per step, find every step's slots and
-trained rows. A chunk holds as many steps as fit in ``CHUNK_SLOTS`` slots
+loss and write its gradient: the hinge's one ``np.bincount`` scatter is the
+gradient, and the penalty adds its slope to it. ``training.loss_and_grad``
+adds the two; it is the one entry point that training, validation and the
+tests share, and validation discards the gradient. A step works on rows of
+the model's parameter block, entity and relation rows alike. Only
+:func:`prepare_steps` makes a :class:`Step`: it checks a chunk of
+consecutive batches once, their shapes, weights, beta and ids, and finds
+every step's slots and trained rows with one range check
+(:func:`block_slots`) and one row mask, a row of the block per step. A
+chunk holds as many steps as fit in ``CHUNK_SLOTS`` slots
 (:func:`chunk_steps`), so each of its arrays holds at most 64 KiB, unless
 one step alone needs more, whatever the length of the run or the size of
 the graph. The step then gathers the row of every slot once, and
@@ -66,33 +67,6 @@ def _sigmoid(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sigmoid(x) given z = exp(-|x|): 1 / (1 + z) where x >= 0, else
     z / (1 + z), with one division of the same operands."""
     return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
-
-
-@dataclass(frozen=True)
-class TrainingBatch:
-    """One optimization step's worth of data: positives, their weights,
-    pre-drawn corruptions (eta per positive, grouped), and the current beta.
-    Weights and beta must lie in [0, 1]."""
-
-    pos: np.ndarray  # (B, 3) int64
-    pos_weights: np.ndarray  # (B,)
-    neg: np.ndarray  # (B * eta, 3) int64
-    eta: int
-    beta: float
-
-    def __post_init__(self):
-        if self.pos.shape[0] * self.eta != self.neg.shape[0]:
-            raise InputError(
-                f"batch of {self.pos.shape[0]} positives needs {self.pos.shape[0] * self.eta} "
-                f"corruptions, got {self.neg.shape[0]}"
-            )
-        if self.pos.shape[0] != self.pos_weights.shape[0]:
-            raise InputError("one weight per positive required")
-        w = self.pos_weights
-        if np.minimum.reduce(w, initial=0.0) < 0.0 or np.maximum.reduce(w, initial=1.0) > 1.0:
-            raise InputError("edge weights must lie in [0, 1]")
-        if not (0.0 <= self.beta <= 1.0):
-            raise InputError(f"beta must lie in [0, 1], got {self.beta}")
 
 
 # slots one chunk of training steps prepares at once (64 KiB of int64)
@@ -166,8 +140,8 @@ def scatter_rows(
 
 
 class Arena:
-    """Scratch memory for the steps of one ``train`` call, or the batches of
-    one ``validation_loss``.
+    """Scratch memory for the steps of one ``train`` call, or of one
+    ``validation_loss``.
 
     It is sized once, for batches of up to ``triples`` triples of width
     ``k`` that train up to ``rows`` block rows, and backed by one anonymous
@@ -232,8 +206,8 @@ class Arena:
         return self._orders[b, t]
 
     @classmethod
-    def for_batches(cls, positives: int, eta: int, k: int, ent_rows: int, rel_rows: int) -> "Arena":
-        """An arena for batches of up to ``positives`` positives and their
+    def for_steps(cls, positives: int, eta: int, k: int, ent_rows: int, rel_rows: int) -> "Arena":
+        """An arena for steps of up to ``positives`` positives and their
         ``eta`` corruptions each, over ``ent_rows`` entity and ``rel_rows``
         relation rows that may be trained; every triple names two entity
         rows and one relation row."""
@@ -241,23 +215,30 @@ class Arena:
         return cls(triples, k, min(ent_rows, 2 * triples) + min(rel_rows, triples))
 
 
-@dataclass
-class Gradients:
-    """The slots of one step's batch, the block rows it trains, and, once
-    the hinge has scattered, their gradients.
+@dataclass(slots=True)
+class Step:
+    """One training step, as :func:`prepare_steps` checked and prepared it.
 
-    Row i of ``values`` belongs to block row ``rows[i]``: the first
-    ``n_ent`` are entity rows, the rest relation rows. An entry holds
-    d/d(real part) plus 1j * d/d(imaginary part) of its parameter.
+    ``pos`` holds the positives, ``pos_weights`` their edge weights, ``neg``
+    their ``eta`` corruptions each, grouped by positive, and ``beta`` the
+    modulation strength. ``slots`` is :func:`block_slots` of the batch, and
+    ``rows`` the block rows it trains, ascending, the first ``n_ent`` of
+    them entity rows. ``at`` is the row of ``values`` of each slot, and
+    ``trained`` marks the slots whose row is trained (None when all are;
+    ``at`` means nothing at the others). These four are views of the
+    arrays of the chunk :func:`prepare_steps` prepared.
+
     ``values`` is None until :func:`hinge_part` stores its scatter's
     ``np.bincount`` sum there; :func:`regularizer_part` adds its slope to
-    it. ``slots`` is :func:`block_slots` of the batch, ``at`` the row of
-    ``values`` of each slot, and ``trained`` marks the slots whose row is
-    trained (None when all are); ``at`` means nothing at a slot that is
-    not. ``slots``, ``rows``, ``at`` and ``trained`` are views of the arrays
-    of the chunk :meth:`for_steps` prepared.
+    it. Row i is the gradient of block row ``rows[i]``: an entry holds
+    d/d(real part) plus 1j * d/d(imaginary part) of its parameter.
     """
 
+    pos: np.ndarray  # (B, 3) int64
+    pos_weights: np.ndarray  # (B,)
+    neg: np.ndarray  # (B * eta, 3) int64
+    eta: int
+    beta: float
     slots: np.ndarray
     rows: np.ndarray
     n_ent: int
@@ -274,61 +255,70 @@ class Gradients:
         """Block rows of the trained relations."""
         return self.rows[self.n_ent:]
 
-    @classmethod
-    def for_batch(
-        cls, batch: TrainingBatch, model: ModelParams, trainable: np.ndarray | None = None,
-    ) -> "Gradients":
-        """:meth:`for_steps` of the one step ``batch``."""
-        return cls.for_steps([(batch.pos, batch.neg)], model, trainable)[0]
 
-    @classmethod
-    def for_steps(
-        cls, steps: Sequence[tuple[np.ndarray, np.ndarray]], model: ModelParams,
-        trainable: np.ndarray | None = None,
-    ) -> list["Gradients"]:
-        """For each of the consecutive ``steps``, given as its positives and
-        corruptions, its slots and the block rows they name, ascending; with
-        ``trainable``, a mask over the block, only the rows it marks. An id
-        outside the model's vocabulary raises IndexError.
+def prepare_steps(
+    batches: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, float]], eta: int,
+    model: ModelParams, trainable: np.ndarray | None = None,
+) -> list[Step]:
+    """The consecutive ``batches``, each its positives, their weights, their
+    ``eta`` corruptions each and beta, as steps of ``model`` that train the
+    block rows their slots name or, given the block mask ``trainable``,
+    only those it marks.
 
-        The steps share one range check (:func:`block_slots`) and one row
-        mask, a row of the block per step, and each step's arrays are views
-        of the chunk's; :func:`chunk_steps` bounds how many steps that
-        memory holds.
-        """
-        slots = block_slots(steps, model.vocab)
-        width = len(model.block)
-        sizes = [3 * (len(pos) + len(neg)) for pos, neg in steps]
-        offsets = np.arange(0, len(steps) * width, width)  # each step's first mask cell
-        cell = offsets.repeat(sizes)
-        cell += slots  # the mask cell of every slot
-        touched = np.zeros((len(steps), width), dtype=bool)
-        mask = touched.reshape(-1)
-        mask[cell] = True
-        if trainable is not None:
-            touched &= trainable
-        rows = mask.nonzero()[0]  # ascending, so step by step
-        ends = rows.searchsorted(offsets + width)
-        firsts = np.concatenate(([0], ends[:-1]))
-        ent_ends = rows.searchsorted(offsets + model.vocab.n_entities).tolist()
-        counts = ends - firsts
-        # the index of each trained cell among its step's rows
-        index = np.zeros(len(mask), dtype=np.intp)
-        index[rows] = np.arange(len(rows)) - firsts.repeat(counts)
-        at = index.take(cell)
-        rows -= offsets.repeat(counts)
-        trained = None if trainable is None else mask.take(cell)
-        found, start = [], 0
-        for size, first, end, ent_end in zip(sizes, firsts.tolist(), ends.tolist(), ent_ends):
-            cut = slice(start, start + size)
-            found.append(cls(slots[cut], rows[first:end], ent_end - first, at[cut],
-                             None if trained is None else trained[cut]))
-            start += size
-        return found
+    The batches are checked once, together: mismatched shapes, or a weight
+    or beta outside [0, 1] (NaN included), raise InputError, and an id
+    outside the vocabulary IndexError (:func:`block_slots`). One row mask,
+    a row of the block per step, finds every step's rows, and each step's
+    arrays are views of the chunk's; :func:`chunk_steps` bounds how many
+    steps that memory holds.
+    """
+    sizes = []
+    for pos, w, neg, beta in batches:
+        if len(neg) != len(pos) * eta:
+            raise InputError(f"batch of {len(pos)} positives needs {len(pos) * eta} "
+                             f"corruptions, got {len(neg)}")
+        if len(w) != len(pos):
+            raise InputError("one weight per positive required")
+        if not (0.0 <= beta <= 1.0):
+            raise InputError(f"beta must lie in [0, 1], got {beta}")
+        sizes.append(3 * (len(pos) + len(neg)))
+    weights = np.concatenate([w for _, w, _, _ in batches])
+    if not (np.minimum.reduce(weights, initial=0.0) >= 0.0
+            and np.maximum.reduce(weights, initial=1.0) <= 1.0):
+        raise InputError("edge weights must lie in [0, 1]")
+    slots = block_slots([(pos, neg) for pos, _, neg, _ in batches], model.vocab)
+    width = len(model.block)
+    offsets = np.arange(0, len(batches) * width, width)  # each step's first mask cell
+    cell = offsets.repeat(sizes)
+    cell += slots  # the mask cell of every slot
+    touched = np.zeros((len(batches), width), dtype=bool)
+    mask = touched.reshape(-1)
+    mask[cell] = True
+    if trainable is not None:
+        touched &= trainable
+    rows = mask.nonzero()[0]  # ascending, so step by step
+    ends = rows.searchsorted(offsets + width)
+    firsts = np.concatenate(([0], ends[:-1]))
+    ent_ends = rows.searchsorted(offsets + model.vocab.n_entities).tolist()
+    counts = ends - firsts
+    # the index of each trained cell among its step's rows
+    index = np.zeros(len(mask), dtype=np.intp)
+    index[rows] = np.arange(len(rows)) - firsts.repeat(counts)
+    at = index.take(cell)
+    rows -= offsets.repeat(counts)
+    trained = None if trainable is None else mask.take(cell)
+    found, start = [], 0
+    for (pos, w, neg, beta), size, first, end, ent_end in zip(
+            batches, sizes, firsts.tolist(), ends.tolist(), ent_ends):
+        cut = slice(start, start + size)
+        found.append(Step(pos, w, neg, eta, beta, slots[cut], rows[first:end], ent_end - first,
+                          at[cut], None if trained is None else trained[cut]))
+        start += size
+    return found
 
 
-def _scatter_score_grads(grads: Gradients, coeff: np.ndarray, b: int, arena: Arena) -> None:
-    """Store in ``grads.values`` the sum of coeff_t * (d f_t / d parameter)
+def _scatter_score_grads(step: Step, coeff: np.ndarray, b: int, arena: Arena) -> None:
+    """Store in ``step.values`` the sum of coeff_t * (d f_t / d parameter)
     over the triples t of the batch whose rows ``arena.gather`` holds, made
     by one scatter.
 
@@ -344,31 +334,27 @@ def _scatter_score_grads(grads: Gradients, coeff: np.ndarray, b: int, arena: Are
     terms = arena.terms[:3 * t]
     np.conjugate(p, out=terms[:t])  # d/ds = conj(p) * o
     terms[:t] *= o
-    if grads.n_ent < len(grads.rows):  # d/dp = conj(s) * o
+    if step.n_ent < len(step.rows):  # d/dp = conj(s) * o
         np.conjugate(s, out=terms[t:2 * t])
         terms[t:2 * t] *= o
     order, triple = arena._scatter_order(b, t)
     slot_coeff = coeff.take(triple)
     keep = slot_coeff != 0.0
-    if grads.trained is not None:
-        keep &= grads.trained.take(order)
+    if step.trained is not None:
+        keep &= step.trained.take(order)
     kept = order[keep]
     # the terms have been read: the gather buffer takes the kept ones, and
     # the terms' memory their cells
     values = terms.take(kept, 0, arena.gather[:len(kept)], "wrap").view(np.float64)
     values *= slot_coeff[keep][:, None]
-    summed = scatter_rows(grads.at.take(kept), values, len(grads.rows), arena.table,
+    summed = scatter_rows(step.at.take(kept), values, len(step.rows), arena.table,
                           arena.cells[:len(kept)])
-    grads.values = summed.view(np.complex128)
+    step.values = summed.view(np.complex128)
 
 
-def hinge_part(
-    model: ModelParams, batch: TrainingBatch, margin: float, slots: np.ndarray, arena: Arena,
-    grads: Gradients | None = None,
-) -> float:
-    """Hinge loss of the batch, whose :func:`block_slots` are ``slots``,
-    with ``arena`` as scratch; with ``grads``, its gradient is stored in
-    ``grads.values``.
+def hinge_part(model: ModelParams, step: Step, margin: float, arena: Arena) -> float:
+    """Hinge loss of the step's batch, with ``arena`` as scratch; its
+    gradient is stored in ``step.values``.
 
     Every subject, relation and object row is gathered once. With
     f = Re(s * p * conj(o)), the complex gradients are
@@ -379,29 +365,26 @@ def hinge_part(
     subgradient at an exactly-zero violation is taken as zero, so only
     strictly positive violations propagate.
     """
-    b, t = len(batch.pos), len(slots) // 3
-    gathered = model.block.take(slots, 0, arena.gather[:3 * t], "wrap")
+    b, t = len(step.pos), len(step.slots) // 3
+    gathered = model.block.take(step.slots, 0, arena.gather[:3 * t], "wrap")
     s, p, o = gathered[:t], gathered[t:2 * t], gathered[2 * t:]
     sp = np.multiply(s, p, out=arena.terms[2 * t:3 * t])
     # Re(a * conj(b)) summed over a row is the dot product of the float rows
     f = np.einsum("ij,ij->i", sp.view(np.float64), o.view(np.float64))
     # the FocusE factor of every triple, beta + (1 - beta) * influence: the
     # influence of a positive is its weight w, that of each corruption 1 - w
-    w, beta = batch.pos_weights, batch.beta
-    alpha = beta + (1.0 - beta) * np.concatenate((w, (1.0 - w).repeat(batch.eta)))
+    w, beta, eta = step.pos_weights, step.beta, step.eta
+    alpha = beta + (1.0 - beta) * np.concatenate((w, (1.0 - w).repeat(eta)))
     z = np.exp(-np.abs(f))  # shared by softplus and, for the gradient, sigmoid
     g = alpha * _softplus(f, z)
-    viol = margin + g[b:].reshape(b, batch.eta) - g[:b, None]
+    viol = margin + g[b:].reshape(b, eta) - g[:b, None]
     active = viol > 0.0
     loss = float(np.add.reduce(viol[active]))  # 0.0 when every pair is slack
-    if grads is None:
-        return loss
-
     # dL/df = -alpha * sigmoid(f) * (#active pairs) for a positive, and
     # alpha * sigmoid(f) for each active pair's corruption
     coeff = alpha * _sigmoid(f, z)
     coeff *= np.concatenate((-np.add.reduce(active, 1), active.reshape(-1)))
-    _scatter_score_grads(grads, coeff, b, arena)
+    _scatter_score_grads(step, coeff, b, arena)
     return loss
 
 
@@ -429,31 +412,31 @@ def regularizer_part(
     p: int,
     lam: float,
     arena: Arena,
-    grads: Gradients | None = None,
+    grad: np.ndarray,
 ) -> float:
     """Penalty lam * sum |x|^p over the real and imaginary parts of the
     given block rows, entity rows and then relation rows (relation r is
-    block row ``n_entities + r``), with ``arena`` as scratch; with
-    ``grads``, which must cover exactly these rows and hold the hinge's
-    gradient, d/dx = lam * p * |x|^(p-1) * sign(x) is added to it (zero at
-    x = 0, also for p = 1)."""
+    block row ``n_entities + r``), with ``arena`` as scratch. Its slope,
+    d/dx = lam * p * |x|^(p-1) * sign(x) (zero at x = 0, also for p = 1),
+    is added to ``grad``, the complex gradient of these rows in this order,
+    such as :attr:`Step.values`."""
     if lam == 0.0:
         return 0.0
-    rows = np.concatenate((ent_rows, rel_rows)) if grads is None else grads.rows
-    size, split = len(rows), len(ent_rows)
-    x, a, slope = arena.rows[:3, :size]
-    model.block.view(np.float64).take(rows, 0, x, "wrap")
+    split = len(ent_rows)
+    x, a, slope = arena.rows[:3, :split + len(rel_rows)]
+    block = model.block.view(np.float64)
+    block.take(ent_rows, 0, x[:split], "wrap")
+    block.take(rel_rows, 0, x[split:], "wrap")
     np.abs(x, out=a)
     int_power(a, p - 1, slope)  # |x|^(p-1)
     # sum of |x|^p, over the entity rows and then the relation rows
     loss = float(np.dot(slope[:split].ravel(), a[:split].ravel()))
     loss += float(np.dot(slope[split:].ravel(), a[split:].ravel()))
-    if grads is not None:
-        if p == 1:
-            np.sign(x, out=slope)
-        else:
-            np.copysign(slope, x, out=slope)
-        slope *= lam * p
-        g = grads.values.view(np.float64)
-        g += slope
+    if p == 1:
+        np.sign(x, out=slope)
+    else:
+        np.copysign(slope, x, out=slope)
+    slope *= lam * p
+    g = grad.view(np.float64)
+    g += slope
     return lam * loss

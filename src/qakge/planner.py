@@ -128,8 +128,8 @@ def predict_rules_for_attribute(
     pool: Sequence[str],
     stats: dict[str, tuple[float, float]],
     *,
-    tau: float = 0.5,
-    top_m: int = 3,
+    tau: float,
+    top_m: int,
 ) -> list[PredictedEdge]:
     return _predict_edges(model, attribute_node, REL_QUALITY_RULE, pool, stats, tau, top_m)
 
@@ -140,8 +140,8 @@ def predict_dimensions_for_rule(
     pool: Sequence[str],
     stats: dict[str, tuple[float, float]],
     *,
-    tau: float = 0.5,
-    top_m: int = 3,
+    tau: float,
+    top_m: int,
 ) -> list[PredictedEdge]:
     return _predict_edges(model, rule_node, REL_CONTRIBUTES, pool, stats, tau, top_m)
 

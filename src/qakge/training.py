@@ -2,10 +2,11 @@
 
 All randomness (shuffling, corruption draws) flows from one seeded generator
 owned by :func:`train`, so a (graph, hyperparams) pair fully determines the
-final parameters bit for bit. :func:`train` draws and prepares a chunk of
-consecutive steps before it runs them (``objective.CHUNK_SLOTS``); the
-draws come in the same order as one step at a time, so the chunk size
-changes no number.
+final parameters bit for bit. :func:`chunked_steps` draws and prepares a
+chunk of consecutive steps before it runs them (``objective.CHUNK_SLOTS``),
+for :func:`train` and ``evaluation.validation_loss`` alike; the draws come
+in the same order as one step at a time, so the chunk size changes no
+number.
 """
 from __future__ import annotations
 
@@ -14,15 +15,14 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .contexts import check_integer, check_number
 from .errors import InputError, TrainingDiverged
 from .model import ModelParams, init_model, score_triples
-from .objective import (
-    Arena, Gradients, TrainingBatch, chunk_steps, hinge_part, regularizer_part,
-)
+from .objective import Arena, Step, chunk_steps, hinge_part, prepare_steps, regularizer_part
 from .sampling import sample_corruptions
 from .triples import TripleGraph
 
@@ -109,15 +109,16 @@ class _Adam:
         self.m = np.zeros_like(model.block.view(np.float64))
         self.v = np.zeros_like(model.block.view(np.float64))
 
-    def step(self, model: ModelParams, grads: Gradients, arena: Arena) -> None:
-        """One update; its temporaries are the four row buffers of ``arena``."""
-        rows = grads.rows
+    def step(self, model: ModelParams, step: Step, arena: Arena) -> None:
+        """One update by the step's gradient; its temporaries are the four
+        row buffers of ``arena``."""
+        rows = step.rows
         self.t += 1
         bc2 = 1.0 - ADAM_BETA2**self.t
         scale = self.lr / (1.0 - ADAM_BETA1**self.t)
         m, v = self.m, self.v
         scratch, m_rows, v_rows, p_rows = arena.rows[:, :len(rows)]
-        g = grads.values.view(np.float64)
+        g = step.values.view(np.float64)
         np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
         m.take(rows, 0, m_rows, "wrap")
         m_rows *= ADAM_BETA1
@@ -140,19 +141,42 @@ class _Adam:
         param[rows] = p_rows
 
 
-def loss_and_grad(
-    model: ModelParams, batch: TrainingBatch, hp: Hyperparams, arena: Arena,
-    grads: Gradients | None = None,
-) -> float:
-    """Hinge + regularizer loss for one batch, with ``arena`` as scratch;
-    with ``grads``, from :meth:`Gradients.for_steps`, its gradient is
-    stored in ``grads.values``, and the penalty covers only the rows
-    ``grads`` trains (the others add a constant)."""
-    found = Gradients.for_batch(batch, model) if grads is None else grads
-    loss = hinge_part(model, batch, hp.margin, found.slots, arena, grads)
-    loss += regularizer_part(model, found.ent_rows, found.rel_rows, hp.reg_p, hp.reg_lambda,
-                             arena, grads)
+def loss_and_grad(model: ModelParams, step: Step, hp: Hyperparams, arena: Arena) -> float:
+    """Hinge + regularizer loss of one step, with ``arena`` as scratch; its
+    gradient is stored in ``step.values``. The penalty covers only the rows
+    the step trains (the others add a constant)."""
+    loss = hinge_part(model, step, hp.margin, arena)
+    loss += regularizer_part(model, step.ent_rows, step.rel_rows, hp.reg_p, hp.reg_lambda,
+                             arena, step.values)
     return loss
+
+
+def chunked_steps(
+    model: ModelParams, hp: Hyperparams, n: int, batches: Iterable[tuple], draw: Callable,
+    rng: np.random.Generator, trainable: np.ndarray | None = None,
+) -> Iterator[tuple[object, Step, Arena]]:
+    """(key, step, arena) of every batch of a run over ``n`` triples in
+    batches of ``hp.batch_size``, each given as a key, its positives, their
+    weights and beta. A step's corruptions are ``draw(positives, hp.eta,
+    model.vocab, rng)``, and all steps share the arena. As many batches as
+    :func:`chunk_steps` allows are taken and drawn, in order, before
+    :func:`prepare_steps` prepares them together and they are yielded. A
+    step's gradient is dropped when the next step is asked for, so the
+    chunk holds at most one.
+    """
+    positives = min(n, hp.batch_size)
+    live = np.ones(len(model.block), bool) if trainable is None else trainable
+    split = model.vocab.n_entities
+    arena = Arena.for_steps(positives, hp.eta, model.k, np.count_nonzero(live[:split]),
+                            np.count_nonzero(live[split:]))
+    per_chunk = chunk_steps(3 * positives * (1 + hp.eta), len(model.block))
+    batches = iter(batches)
+    while chunk := [(key, pos, w, draw(pos, hp.eta, model.vocab, rng), beta)
+                    for key, pos, w, beta in islice(batches, per_chunk)]:
+        steps = prepare_steps([batch[1:] for batch in chunk], hp.eta, model, trainable)
+        for (key, *_), step in zip(chunk, steps):
+            yield key, step, arena
+            step.values = None  # spent: the chunk holds no step's gradient
 
 
 def _fold_in(graph: TripleGraph, hp: Hyperparams, base: ModelParams) -> tuple[ModelParams, np.ndarray]:
@@ -191,50 +215,31 @@ def train(
     if len(graph) == 0:
         raise InputError("cannot train on an empty graph")
     idx, weights = graph.index_arrays()
-    n = graph.vocab.n_entities
     if base is None:
-        model = init_model(graph.vocab, hp.k, hp.seed)
-        trainable = None
-        n_ent, n_rel = n, model.vocab.n_relations
+        model, trainable = init_model(graph.vocab, hp.k, hp.seed), None
     else:
         model, trainable = _fold_in(graph, hp, base)
+        n = graph.vocab.n_entities
         touches = trainable[idx[:, 0]] | trainable[n + idx[:, 1]] | trainable[idx[:, 2]]
         idx, weights = idx[touches], weights[touches]
-        n_ent, n_rel = np.count_nonzero(trainable[:n]), np.count_nonzero(trainable[n:])
 
     rng = np.random.default_rng((hp.seed, 1))
     adam = _Adam(model, hp.learning_rate)
-    n, size, eta, vocab = idx.shape[0], hp.batch_size, hp.eta, graph.vocab
-    arena = Arena.for_batches(min(n, size), eta, hp.k, n_ent, n_rel)
-    per_chunk = chunk_steps(3 * min(n, size) * (1 + eta), len(model.block))
-    last = (n - 1) // size  # number of each epoch's last batch
-    steps = _schedule(n, size, hp, rng)
+    last = (len(idx) - 1) // hp.batch_size  # number of each epoch's last batch
+    steps = chunked_steps(model, hp, len(idx), _schedule(idx, weights, hp, rng),
+                          sample_corruptions, rng, trainable)
     losses: list[float] = []
     epoch_loss = 0.0
     started = time.perf_counter()
-    while True:
-        # preparation: every draw of the chunk's steps, in step order, and
-        # their slots and rows; the steps then only touch parameters
-        drawn = []
-        for epoch, batch_no, beta, take in islice(steps, per_chunk):
-            pos = idx.take(take, 0)
-            neg = sample_corruptions(pos, eta, vocab, rng)
-            drawn.append((epoch, batch_no, beta, pos, weights.take(take), neg))
-        if not drawn:
-            break
-        found = Gradients.for_steps([(pos, neg) for *_, pos, _, neg in drawn], model, trainable)
-        for (epoch, batch_no, beta, pos, w, neg), grads in zip(drawn, found):
-            batch = TrainingBatch(pos, w, neg, eta, beta)
-            loss = loss_and_grad(model, batch, hp, arena, grads)
-            if not math.isfinite(loss):
-                rows = _non_finite_rows(model, batch)
-                raise TrainingDiverged(epoch, batch_no, rows)
-            adam.step(model, grads, arena)
-            grads.values = None  # spent: the chunk holds no step's gradient
-            epoch_loss += loss
-            if batch_no == last:
-                losses.append(epoch_loss)
-                epoch_loss = 0.0
+    for (epoch, batch_no), step, arena in steps:
+        loss = loss_and_grad(model, step, hp, arena)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(epoch, batch_no, _non_finite_rows(model, step))
+        adam.step(model, step, arena)
+        epoch_loss += loss
+        if batch_no == last:
+            losses.append(epoch_loss)
+            epoch_loss = 0.0
     report = TrainReport(
         losses=losses,
         wall_time=time.perf_counter() - started,
@@ -244,20 +249,22 @@ def train(
     return model, report
 
 
-def _schedule(n: int, size: int, hp: Hyperparams, rng: np.random.Generator):
-    """(epoch, batch number, beta, rows of the index arrays) of every step
-    of a run over ``n`` triples; each epoch's permutation is drawn from
-    ``rng`` when its first step is reached."""
+def _schedule(idx: np.ndarray, weights: np.ndarray, hp: Hyperparams, rng: np.random.Generator):
+    """((epoch, batch number), positives, weights, beta) of every step of a
+    run over the triples ``idx`` of weights ``weights``; each epoch's
+    permutation is drawn from ``rng`` when its first step is reached."""
+    n, size = len(idx), hp.batch_size
     for epoch in range(hp.epochs):
         beta = beta_value(epoch, hp)
         perm = rng.permutation(n)
         for batch_no, start in enumerate(range(0, n, size)):
-            yield epoch, batch_no, beta, perm[start : start + size]
+            take = perm[start : start + size]
+            yield (epoch, batch_no), idx.take(take, 0), weights.take(take), beta
 
 
-def _non_finite_rows(model: ModelParams, batch: TrainingBatch) -> list[int]:
+def _non_finite_rows(model: ModelParams, step: Step) -> list[int]:
     """Vocab row ids of triples whose raw score is no longer finite."""
-    stacked = np.concatenate([batch.pos, batch.neg])
+    stacked = np.concatenate([step.pos, step.neg])
     with np.errstate(all="ignore"):
         scores = score_triples(model, stacked)
     bad = ~np.isfinite(scores)

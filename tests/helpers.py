@@ -15,7 +15,7 @@ from qakge.node2vec import (
     AdjacencyStructure, BaselineConfig, NodeEmbeddings, transition_probs, window_pairs,
 )
 from qakge.objective import (
-    Arena, Gradients, TrainingBatch, int_power, scatter_rows, sigmoid, softplus,
+    Arena, Step, int_power, prepare_steps, scatter_rows, sigmoid, softplus,
 )
 from qakge import training
 from qakge.sampling import sample_corruptions
@@ -35,41 +35,47 @@ def modulated(raw, weight, beta, is_positive: bool):
     return (beta + (1.0 - beta) * influence) * softplus(raw)
 
 
-def touched_ids(batch: TrainingBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Unique entity and relation ids the batch references."""
-    ent = np.concatenate([batch.pos[:, 0], batch.pos[:, 2], batch.neg[:, 0], batch.neg[:, 2]])
-    return np.unique(ent), np.unique(np.concatenate([batch.pos[:, 1], batch.neg[:, 1]]))
+def one_step(model: ModelParams, pos, pos_weights, neg, eta: int, beta: float,
+             trainable: np.ndarray | None = None) -> Step:
+    """The step ``prepare_steps`` makes of one batch of ``model``."""
+    batch = (np.asarray(pos, dtype=np.int64), np.asarray(pos_weights, dtype=np.float64),
+             np.asarray(neg, dtype=np.int64), beta)
+    return prepare_steps([batch], eta, model, trainable)[0]
 
 
-def arena_for(model: ModelParams, batch: TrainingBatch | None = None) -> Arena:
-    """An arena for batches of the size of ``batch`` (one positive and one
+def touched_ids(step: Step) -> tuple[np.ndarray, np.ndarray]:
+    """Unique entity and relation ids the step's batch references."""
+    ent = np.concatenate([step.pos[:, 0], step.pos[:, 2], step.neg[:, 0], step.neg[:, 2]])
+    return np.unique(ent), np.unique(np.concatenate([step.pos[:, 1], step.neg[:, 1]]))
+
+
+def arena_for(model: ModelParams, step: Step | None = None) -> Arena:
+    """An arena for batches of the size of the step's (one positive and one
     corruption when None) that may train every row of ``model``."""
-    positives, eta = (1, 1) if batch is None else (len(batch.pos), batch.eta)
-    return Arena.for_batches(positives, eta, model.k, model.vocab.n_entities, model.vocab.n_relations)
+    positives, eta = (1, 1) if step is None else (len(step.pos), step.eta)
+    return Arena.for_steps(positives, eta, model.k, model.vocab.n_entities, model.vocab.n_relations)
 
 
-def gradient_parts(model: ModelParams, grads: Gradients) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def gradient_parts(model: ModelParams, step: Step) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(parameter rows, gradient view) for each of ``GRAD_NAMES``; relation
     rows are relation ids, not block rows."""
-    ent, rel = grads.values[: grads.n_ent], grads.values[grads.n_ent:]
-    ent_rows, rel_rows = grads.ent_rows, grads.rel_rows - model.vocab.n_entities
+    ent, rel = step.values[: step.n_ent], step.values[step.n_ent:]
+    ent_rows, rel_rows = step.ent_rows, step.rel_rows - model.vocab.n_entities
     return ((ent_rows, ent.real), (ent_rows, ent.imag), (rel_rows, rel.real), (rel_rows, rel.imag))
 
 
-def dense_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, np.ndarray]:
+def dense_gradients(model: ModelParams, step: Step, hp) -> dict[str, np.ndarray]:
     """Analytic gradient of the training loss, expanded from the compact
     buffer into dense arrays that are zero outside the touched rows."""
-    arena = arena_for(model, batch)
-    grads = Gradients.for_batch(batch, model)
-    loss_and_grad(model, batch, hp, arena, grads)
+    loss_and_grad(model, step, hp, arena_for(model, step))
     out = {}
-    for name, param, (rows, g) in zip(GRAD_NAMES, model.arrays(), gradient_parts(model, grads)):
+    for name, param, (rows, g) in zip(GRAD_NAMES, model.arrays(), gradient_parts(model, step)):
         out[name] = np.zeros_like(param)
         out[name][rows] = g
     return out
 
 
-def add_at_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, np.ndarray]:
+def add_at_gradients(model: ModelParams, step: Step, hp) -> dict[str, np.ndarray]:
     """Dense gradient of the training loss, scattered with ``np.add.at`` one
     triple group and one side at a time: positives (subject, relation,
     object), then corruptions, then the penalty over the touched rows.
@@ -78,17 +84,17 @@ def add_at_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, 
     the four-product float formula) times the coefficient, and the penalty
     slope from ``int_power``, so the sums can be compared with ``==``."""
     out = {name: np.zeros_like(a) for name, a in zip(GRAD_NAMES, model.arrays())}
-    beta = batch.beta
-    w_neg = np.repeat(batch.pos_weights, batch.eta)
-    g_pos = modulated(score_triples(model, batch.pos), batch.pos_weights, beta, True)
-    g_neg = modulated(score_triples(model, batch.neg), w_neg, beta, False)
-    b = batch.pos.shape[0]
-    active = hp.margin + g_neg.reshape(b, batch.eta) - g_pos[:, None] > 0.0
-    alpha_pos = beta + (1.0 - beta) * batch.pos_weights
+    beta = step.beta
+    w_neg = np.repeat(step.pos_weights, step.eta)
+    g_pos = modulated(score_triples(model, step.pos), step.pos_weights, beta, True)
+    g_neg = modulated(score_triples(model, step.neg), w_neg, beta, False)
+    b = step.pos.shape[0]
+    active = hp.margin + g_neg.reshape(b, step.eta) - g_pos[:, None] > 0.0
+    alpha_pos = beta + (1.0 - beta) * step.pos_weights
     alpha_neg = beta + (1.0 - beta) * (1.0 - w_neg)
-    coeff_pos = -alpha_pos * sigmoid(score_triples(model, batch.pos)) * active.sum(axis=1)
-    coeff_neg = alpha_neg * sigmoid(score_triples(model, batch.neg)) * active.reshape(-1)
-    for idx, coeff in ((batch.pos, coeff_pos), (batch.neg, coeff_neg)):
+    coeff_pos = -alpha_pos * sigmoid(score_triples(model, step.pos)) * active.sum(axis=1)
+    coeff_neg = alpha_neg * sigmoid(score_triples(model, step.neg)) * active.reshape(-1)
+    for idx, coeff in ((step.pos, coeff_pos), (step.neg, coeff_neg)):
         c = coeff[:, None]
         s, p, o = idx[:, 0], idx[:, 1], idx[:, 2]
         e_s, w_p, e_o = model.ent[s], model.rel[p], model.ent[o]
@@ -98,7 +104,7 @@ def add_at_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, 
             np.add.at(out[side + "_re"], rows, c * grad.real)
             np.add.at(out[side + "_im"], rows, c * grad.imag)
     if hp.reg_lambda != 0.0:
-        ent_rows, rel_rows = touched_ids(batch)
+        ent_rows, rel_rows = touched_ids(step)
         lam, q = hp.reg_lambda, hp.reg_p
         for name, rows in zip(GRAD_NAMES, (ent_rows, ent_rows, rel_rows, rel_rows)):
             x = getattr(model, name)[rows]
@@ -107,10 +113,10 @@ def add_at_gradients(model: ModelParams, batch: TrainingBatch, hp) -> dict[str, 
     return out
 
 
-def fd_gradients(model: ModelParams, batch: TrainingBatch, hp, h: float = 1e-6) -> dict[str, np.ndarray]:
+def fd_gradients(model: ModelParams, step: Step, hp, h: float = 1e-6) -> dict[str, np.ndarray]:
     """Central finite differences of the training loss, touched rows only."""
-    ent_rows, rel_rows = touched_ids(batch)
-    arena = arena_for(model, batch)
+    ent_rows, rel_rows = touched_ids(step)
+    arena = arena_for(model, step)
     out = {
         "ent_re": np.zeros_like(model.ent_re),
         "ent_im": np.zeros_like(model.ent_im),
@@ -125,9 +131,9 @@ def fd_gradients(model: ModelParams, batch: TrainingBatch, hp, h: float = 1e-6) 
             for j in range(model.k):
                 orig = arr[i, j]
                 arr[i, j] = orig + h
-                f_plus = loss_and_grad(model, batch, hp, arena)
+                f_plus = loss_and_grad(model, step, hp, arena)
                 arr[i, j] = orig - h
-                f_minus = loss_and_grad(model, batch, hp, arena)
+                f_minus = loss_and_grad(model, step, hp, arena)
                 arr[i, j] = orig
                 out[name][i, j] = (f_plus - f_minus) / (2.0 * h)
     return out
@@ -219,8 +225,10 @@ def random_model(n_entities: int = 8, n_relations: int = 3, k: int = 4,
 
 def random_batch(n_entities: int, n_relations: int, rng: np.random.Generator,
                  n_pos: int = 6, eta: int = 3, beta: float = 0.3,
-                 weights: np.ndarray | None = None) -> TrainingBatch:
-    """Random positives plus one-sided corruptions, shapes only (no semantics)."""
+                 weights: np.ndarray | None = None) -> tuple:
+    """Random positives plus one-sided corruptions, shapes only (no
+    semantics), as the (positives, weights, corruptions, beta) batch that
+    ``prepare_steps`` takes."""
     pos = np.stack([
         rng.integers(0, n_entities, n_pos),
         rng.integers(0, n_relations, n_pos),
@@ -231,13 +239,22 @@ def random_batch(n_entities: int, n_relations: int, rng: np.random.Generator,
     neg = np.repeat(pos, eta, axis=0)
     side = rng.integers(0, 2, n_pos * eta)
     neg[np.arange(n_pos * eta), side * 2] = rng.integers(0, n_entities, n_pos * eta)
-    return TrainingBatch(pos, np.asarray(weights, dtype=np.float64), neg, eta, beta)
+    return pos, np.asarray(weights, dtype=np.float64), neg, beta
+
+
+def random_step(model: ModelParams, rng: np.random.Generator, n_pos: int = 6, eta: int = 3,
+                beta: float = 0.3, weights: np.ndarray | None = None) -> Step:
+    """The step of a :func:`random_batch` over the vocabulary of ``model``."""
+    vocab = model.vocab
+    pos, w, neg, beta = random_batch(vocab.n_entities, vocab.n_relations, rng, n_pos, eta, beta,
+                                     weights)
+    return one_step(model, pos, w, neg, eta, beta)
 
 
 def step_by_step_train(graph: TripleGraph, hp, base: ModelParams | None = None):
     """``train`` written one step at a time: each batch draws its
     permutation slice and corruptions right before its own step, and finds
-    its rows with ``Gradients.for_batch``. Returns the model, the per-epoch
+    its step with ``prepare_steps``. Returns the model, the per-epoch
     loss trace, and the (epoch, batch, triple rows) of the first non-finite
     loss, or None when every loss is finite."""
     idx, weights = graph.index_arrays()
@@ -250,7 +267,7 @@ def step_by_step_train(graph: TripleGraph, hp, base: ModelParams | None = None):
         idx, weights = idx[touches], weights[touches]
     rng = np.random.default_rng((hp.seed, 1))
     adam = training._Adam(model, hp.learning_rate)
-    arena = Arena.for_batches(min(len(idx), hp.batch_size), hp.eta, hp.k, n,
+    arena = Arena.for_steps(min(len(idx), hp.batch_size), hp.eta, hp.k, n,
                               graph.vocab.n_relations)
     losses = []
     for epoch in range(hp.epochs):
@@ -260,12 +277,12 @@ def step_by_step_train(graph: TripleGraph, hp, base: ModelParams | None = None):
             take = perm[start:start + hp.batch_size]
             pos = idx[take]
             neg = sample_corruptions(pos, hp.eta, graph.vocab, rng)
-            batch = TrainingBatch(pos, weights[take], neg, hp.eta, beta_value(epoch, hp))
-            grads = Gradients.for_batch(batch, model, trainable)
-            loss = loss_and_grad(model, batch, hp, arena, grads)
+            step = one_step(model, pos, weights[take], neg, hp.eta, beta_value(epoch, hp),
+                            trainable)
+            loss = loss_and_grad(model, step, hp, arena)
             if not math.isfinite(loss):
-                return model, losses, (epoch, batch_no, training._non_finite_rows(model, batch))
-            adam.step(model, grads, arena)
+                return model, losses, (epoch, batch_no, training._non_finite_rows(model, step))
+            adam.step(model, step, arena)
             epoch_loss += loss
         losses.append(epoch_loss)
     return model, losses, None

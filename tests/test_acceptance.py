@@ -30,7 +30,6 @@ from qakge import (
     triples_to_context,
 )
 from qakge.model import init_model
-from qakge.objective import TrainingBatch
 from qakge.triples import TripleGraph, WeightedTriple
 
 from .helpers import (
@@ -38,9 +37,10 @@ from .helpers import (
     fd_gradients,
     max_relative_error,
     modulated,
+    one_step,
     oracle_rank,
-    random_batch,
     random_model,
+    random_step,
     toy_graph,
 )
 
@@ -63,8 +63,8 @@ def test_analytic_gradients_match_finite_differences():
         n_rel = int(rng.integers(1, 4))
         k = int(rng.integers(2, 9))
         model = random_model(n_ent, n_rel, k=k, seed=100 + trial)
-        batch = random_batch(n_ent, n_rel, rng, n_pos=int(rng.integers(2, 7)),
-                             eta=int(rng.integers(1, 4)), beta=beta)
+        batch = random_step(model, rng, n_pos=int(rng.integers(2, 7)),
+                            eta=int(rng.integers(1, 4)), beta=beta)
         hp = Hyperparams(k=k, margin=float(rng.uniform(0.1, 1.0)),
                          reg_p=4, reg_lambda=float(rng.uniform(0.0, 1e-2)))
         analytic = dense_gradients(model, batch, hp)
@@ -150,7 +150,8 @@ def test_weight_modulation_contract():
 
     # 3. beta=0 with weight 0 silences the positive term completely
     model = random_model(6, 1, k=4, seed=8)
-    batch = TrainingBatch(
+    batch = one_step(
+        model,
         pos=np.array([[0, 0, 1]], dtype=np.int64),
         pos_weights=np.array([0.0]),
         neg=np.array([[2, 0, 1], [3, 0, 1]], dtype=np.int64),  # entity 0 only in the positive

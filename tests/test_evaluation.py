@@ -3,13 +3,16 @@ import numpy as np
 import pytest
 
 import qakge.evaluation
+from qakge import objective, training
 from qakge.errors import InputError
 from qakge.evaluation import aggregate_ranks, evaluate, validation_loss
 from qakge.model import ModelParams, init_model
-from qakge.training import Hyperparams
+from qakge.objective import Arena
+from qakge.sampling import sample_corruptions
+from qakge.training import Hyperparams, loss_and_grad
 from qakge.triples import TripleGraph, Vocabulary, WeightedTriple
 
-from .helpers import oracle_rank, toy_graph
+from .helpers import one_step, oracle_rank, toy_graph
 
 
 def crafted_model(ent_values: list[float]) -> ModelParams:
@@ -207,3 +210,36 @@ def test_validation_loss_reads_edge_weights():
     model = init_model(graph.vocab, k=3, seed=0)
     hp = Hyperparams(k=3, eta=2, batch_size=4)
     assert validation_loss(model, graph, hp) != validation_loss(model, flat, hp)
+
+
+def test_chunk_boundaries_are_invisible_to_validation_loss(monkeypatch):
+    graph = toy_graph()  # 50 triples: 7 batches of 8, the last a short one
+    model = init_model(graph.vocab, k=4, seed=7)
+    hp = Hyperparams(k=4, eta=2, batch_size=8)
+    want = validation_loss(model, graph, hp)
+    # the same sum, one batch at a time
+    idx, weights = graph.index_arrays(model.vocab)
+    rng = np.random.default_rng((0, 99))
+    arena = Arena.for_steps(hp.batch_size, hp.eta, model.k, model.vocab.n_entities,
+                            model.vocab.n_relations)
+    total = 0.0
+    for start in range(0, len(idx), hp.batch_size):
+        pos = idx[start : start + hp.batch_size]
+        neg = sample_corruptions(pos, hp.eta, model.vocab, rng)
+        step = one_step(model, pos, weights[start : start + hp.batch_size], neg, hp.eta, 0.0)
+        total += loss_and_grad(model, step, hp, arena)
+    assert want == total / len(graph)
+
+    # two steps a chunk; validation never draws through the training stream
+    monkeypatch.setattr(objective, "CHUNK_SLOTS", 2 * 3 * hp.batch_size * (1 + hp.eta))
+    chunks, prepare = [], training.prepare_steps
+    monkeypatch.setattr(training, "prepare_steps",
+                        lambda batches, *a: chunks.append(len(batches)) or prepare(batches, *a))
+
+    def no_draw(*args):
+        raise AssertionError("validation drew through qakge.training")
+
+    monkeypatch.setattr(training, "sample_corruptions", no_draw)
+    assert len(graph) % hp.batch_size
+    assert validation_loss(model, graph, hp) == want
+    assert chunks == [2, 2, 2, 1]

@@ -9,11 +9,9 @@ from qakge.errors import InputError
 from qakge.model import init_model
 from qakge.objective import (
     Arena,
-    Gradients,
-    TrainingBatch,
-    block_slots,
     hinge_part,
     int_power,
+    prepare_steps,
     regularizer_part,
     scatter_rows,
     sigmoid,
@@ -21,7 +19,7 @@ from qakge.objective import (
 )
 from qakge.training import Hyperparams, loss_and_grad
 
-from .helpers import arena_for, modulated, random_batch, small_vocab
+from .helpers import arena_for, modulated, one_step, random_batch, random_step, small_vocab
 
 
 def _zero_model(n_entities: int, k: int):
@@ -50,9 +48,8 @@ def _hinge(g_pos, g_neg, margin: float) -> float:
     model.ent_re[1:, 0] = [_softplus_inverse(x) for x in g]
     triples = np.array([[0, 0, j] for j in range(1, len(g) + 1)], dtype=np.int64)
     b = len(g_pos)
-    batch = TrainingBatch(triples[:b], np.ones(b), triples[b:], len(g_neg) // b, 1.0)
-    return hinge_part(model, batch, margin, block_slots([(batch.pos, batch.neg)], model.vocab),
-                       arena_for(model, batch))
+    step = one_step(model, triples[:b], np.ones(b), triples[b:], len(g_neg) // b, 1.0)
+    return hinge_part(model, step, margin, arena_for(model, step))
 
 
 def _penalty(row, p: int, lam: float) -> float:
@@ -64,7 +61,8 @@ def _penalty(row, p: int, lam: float) -> float:
     for arr, values in zip(model.arrays(), row):
         arr[0] = values
     model.ent_re[1] = model.ent_im[1] = 100.0
-    return regularizer_part(model, np.array([0]), np.array([2]), p, lam, arena_for(model))
+    grad = np.zeros((2, k), dtype=np.complex128)
+    return regularizer_part(model, np.array([0]), np.array([2]), p, lam, arena_for(model), grad)
 
 
 def test_softplus_values_and_stability():
@@ -106,13 +104,27 @@ def test_modulation_worked_examples():
 
 
 def test_modulation_validates_domains():
+    model = init_model(small_vocab(2, 1), 2, seed=0)
     pos = np.array([[0, 0, 1]], dtype=np.int64)
     with pytest.raises(InputError, match="weights"):
-        TrainingBatch(np.repeat(pos, 2, axis=0), np.array([0.5, 1.5]), np.repeat(pos, 2, axis=0), 1, 0.5)
+        one_step(model, np.repeat(pos, 2, axis=0), [0.5, 1.5], np.repeat(pos, 2, axis=0), 1, 0.5)
     with pytest.raises(InputError, match="weights"):
-        TrainingBatch(pos, np.array([-0.1]), pos, 1, 0.5)
+        one_step(model, pos, [-0.1], pos, 1, 0.5)
     with pytest.raises(InputError, match="beta"):
-        TrainingBatch(pos, np.array([0.5]), pos, 1, -0.1)
+        one_step(model, pos, [0.5], pos, 1, -0.1)
+
+
+def test_nan_weights_and_beta_are_rejected():
+    # NaN fails every comparison, so a range check written as "below 0 or
+    # above 1" would let it through
+    model = init_model(small_vocab(2, 1), 2, seed=0)
+    pos = np.array([[0, 0, 1], [1, 0, 0]], dtype=np.int64)
+    good = (pos, np.array([0.5, 1.0]), pos, 0.5)
+    for weights in ([math.nan, 0.5], [0.5, math.nan], [math.nan, math.nan]):
+        with pytest.raises(InputError, match="weights"):
+            prepare_steps([good, (pos, np.array(weights), pos, 0.5)], 1, model)
+    with pytest.raises(InputError, match="beta"):
+        prepare_steps([good, (pos, np.array([0.5, 1.0]), pos, math.nan)], 1, model)
 
 
 @given(
@@ -182,14 +194,14 @@ def test_regularizer_part_low_powers_at_zero_and_negative_values():
         # the corruption is the positive, so at margin 0 the hinge is slack
         # and the step's gradient is the penalty's alone
         pos = np.array([[0, 0, 0]], dtype=np.int64)
-        batch = TrainingBatch(pos, np.ones(1), pos, 1, 1.0)
+        step = one_step(model, pos, np.ones(1), pos, 1, 1.0)
         arena = arena_for(model)
-        grads = Gradients.for_batch(batch, model)
-        assert hinge_part(model, batch, 0.0, grads.slots, arena, grads) == 0.0
-        assert regularizer_part(model, np.array([0]), np.array([2]), p, lam, arena, grads) == loss, p
-        assert grads.values[:1].real.tolist() == [d_re], p
-        assert grads.values[:1].imag.tolist() == [d_im], p
-        assert (grads.values[1:] == 0.0).all(), p
+        assert hinge_part(model, step, 0.0, arena) == 0.0
+        assert regularizer_part(model, step.ent_rows, step.rel_rows, p, lam, arena,
+                                step.values) == loss, p
+        assert step.values[:1].real.tolist() == [d_re], p
+        assert step.values[:1].imag.tolist() == [d_im], p
+        assert (step.values[1:] == 0.0).all(), p
 
 
 def test_int_power_worked_examples():
@@ -209,17 +221,16 @@ def test_pairwise_hinge_nonnegative(p, n, margin):
 
 def test_training_batch_validation():
     pos = np.array([[0, 0, 1]], dtype=np.int64)
-    with pytest.raises(InputError):  # neg rows must be pos rows * eta
-        TrainingBatch(pos, np.array([0.5]), np.zeros((3, 3), dtype=np.int64), 2, 0.5)
-    with pytest.raises(InputError):  # weight shape mismatch
-        TrainingBatch(pos, np.array([0.5, 0.5]), np.zeros((2, 3), dtype=np.int64), 2, 0.5)
-    b = TrainingBatch(pos, np.array([0.5]), np.array([[0, 0, 2], [3, 0, 1]], dtype=np.int64), 2, 0.5)
     model = init_model(small_vocab(4, 1), 2, seed=0)
-    grads = Gradients.for_batch(b, model)
-    assert grads.slots.tolist() == [0, 0, 3, 4, 4, 4, 1, 2, 1]  # subjects, relations, objects
-    assert grads.rows.tolist() == [0, 1, 2, 3, 4] and grads.n_ent == 4  # relation 0 is block row 4
-    assert grads.at.tolist() == grads.slots.tolist() and grads.trained is None
-    assert grads.values is None
+    with pytest.raises(InputError):  # neg rows must be pos rows * eta
+        one_step(model, pos, [0.5], np.zeros((3, 3), dtype=np.int64), 2, 0.5)
+    with pytest.raises(InputError):  # weight shape mismatch
+        one_step(model, pos, [0.5, 0.5], np.zeros((2, 3), dtype=np.int64), 2, 0.5)
+    step = one_step(model, pos, [0.5], [[0, 0, 2], [3, 0, 1]], 2, 0.5)
+    assert step.slots.tolist() == [0, 0, 3, 4, 4, 4, 1, 2, 1]  # subjects, relations, objects
+    assert step.rows.tolist() == [0, 1, 2, 3, 4] and step.n_ent == 4  # relation 0 is block row 4
+    assert step.at.tolist() == step.slots.tolist() and step.trained is None
+    assert step.values is None
 
 
 def test_out_of_range_ids_raise_index_error(model8):
@@ -229,24 +240,19 @@ def test_out_of_range_ids_raise_index_error(model8):
     cases = [(bad, good_neg) for bad in ([[0, 0, 8]], [[-1, 0, 1]], [[0, 3, 1]], [[0, -1, 1]])]
     cases += [(good_pos, bad) for bad in ([[8, 0, 1]], [[2, 0, -1]], [[2, 3, 1]])]
     for pos, neg in cases:
-        batch = TrainingBatch(np.array(pos), np.ones(1), np.array(neg), 1, 0.5)
-        arena = arena_for(model8, batch)
         with pytest.raises(IndexError):
-            Gradients.for_batch(batch, model8)
-        for lam in (1e-3, 0.0):  # the loss alone, with and without the penalty
-            with pytest.raises(IndexError):
-                loss_and_grad(model8, batch, Hyperparams(k=4, reg_lambda=lam), arena)
+            one_step(model8, pos, np.ones(1), neg, 1, 0.5)
 
 
 def test_steps_prepared_together_match_the_plain_formulas(model8):
     # 8 entities and 3 relations; the second step is a short one
     rng = np.random.default_rng(7)
     batches = [random_batch(8, 3, rng, n_pos=n) for n in (6, 2, 6, 5)]
-    steps = [(b.pos, b.neg) for b in batches]
     for trainable in (None, np.arange(11) % 3 != 1):
         live = np.ones(11, dtype=bool) if trainable is None else trainable
-        for batch, got in zip(batches, Gradients.for_steps(steps, model8, trainable)):
-            slots = np.concatenate((batch.pos, batch.neg)).T.copy()
+        for (pos, w, neg, beta), got in zip(batches, prepare_steps(batches, 3, model8, trainable)):
+            assert (got.pos, got.pos_weights, got.neg, got.eta, got.beta) == (pos, w, neg, 3, beta)
+            slots = np.concatenate((pos, neg)).T.copy()
             slots[1] += 8
             slots = slots.ravel()
             kept = live[slots]
@@ -256,32 +262,20 @@ def test_steps_prepared_together_match_the_plain_formulas(model8):
             assert np.array_equal(got.at[kept], rows.searchsorted(slots[kept]))
             assert got.trained is None if trainable is None else np.array_equal(got.trained, kept)
     # one range check covers every step and names the kind of the bad id
-    late = steps[:2] + [(np.array([[0, 3, 1]]), np.array([[2, 0, 1]]))]
+    late = batches[:2] + [(np.array([[0, 3, 1]]), np.ones(1), np.array([[2, 0, 1]] * 3), 0.3)]
     with pytest.raises(IndexError, match="relation id 3 is out of range for 3 rows"):
-        Gradients.for_steps(late, model8)
+        prepare_steps(late, 3, model8)
 
 
 def test_loss_and_grad_is_finite_and_deterministic(model8):
     rng = np.random.default_rng(5)
-    batch = random_batch(8, 3, rng)
+    batch = random_step(model8, rng)
     hp = Hyperparams(k=4, reg_lambda=1e-3)
     arena = arena_for(model8, batch)
     a = loss_and_grad(model8, batch, hp, arena)
     b = loss_and_grad(model8, batch, hp, arena)
     assert a == b
     assert np.isfinite(a) and a >= 0.0
-
-
-def test_loss_is_the_same_with_and_without_gradients(model8):
-    rng = np.random.default_rng(6)
-    for beta in (0.0, 0.3, 1.0):
-        batch = random_batch(8, 3, rng, beta=beta)
-        arena = arena_for(model8, batch)
-        for hp in (Hyperparams(k=4, reg_lambda=1e-3), Hyperparams(k=4, reg_lambda=0.0)):
-            grads = Gradients.for_batch(batch, model8)
-            with_grads = loss_and_grad(model8, batch, hp, arena, grads)
-            assert with_grads == loss_and_grad(model8, batch, hp, arena)
-            assert np.abs(grads.values).max() > 0.0
 
 
 def test_scatter_rows_matches_add_at_bit_for_bit():
@@ -310,12 +304,11 @@ def test_an_all_slack_batch_has_zero_float_gradients():
     # and the hinge scatters no term
     model = init_model(small_vocab(4, 2), 3, seed=0)
     pos = np.array([[0, 0, 1], [2, 1, 3]], dtype=np.int64)
-    batch = TrainingBatch(pos, np.array([0.5, 1.0]), pos.repeat(2, axis=0), 2, 0.5)
-    grads = Gradients.for_batch(batch, model)
-    assert hinge_part(model, batch, 0.0, grads.slots, arena_for(model, batch), grads) == 0.0
-    assert grads.values.dtype == np.complex128 and grads.values.shape == (len(grads.rows), 3)
-    assert grads.values.base.dtype == np.float64  # the memory under the complex view
-    assert not grads.values.any()
+    step = one_step(model, pos, [0.5, 1.0], pos.repeat(2, axis=0), 2, 0.5)
+    assert hinge_part(model, step, 0.0, arena_for(model, step)) == 0.0
+    assert step.values.dtype == np.complex128 and step.values.shape == (len(step.rows), 3)
+    assert step.values.base.dtype == np.float64  # the memory under the complex view
+    assert not step.values.any()
 
 
 def test_scatter_rows_rejects_targets_outside_its_rows():

@@ -117,12 +117,12 @@ def test_predict_argument_errors():
     model = rule_model()
     stats = {REL_QUALITY_RULE: (0.0, 1.0)}
     with pytest.raises(InputError, match="empty candidate pool"):
-        predict_rules_for_attribute(model, "attr", [], stats)
+        predict_rules_for_attribute(model, "attr", [], stats, tau=0.5, top_m=3)
     with pytest.raises(InputError, match="unknown entity"):
-        predict_rules_for_attribute(model, "ghost", ["rule_hi"], stats)
+        predict_rules_for_attribute(model, "ghost", ["rule_hi"], stats, tau=0.5, top_m=3)
     no_rel = k1_model({"attr": 1.0, "rule_hi": 2.0}, ["other"])
     with pytest.raises(InputError, match="unknown relation"):
-        predict_rules_for_attribute(no_rel, "attr", ["rule_hi"], stats)
+        predict_rules_for_attribute(no_rel, "attr", ["rule_hi"], stats, tau=0.5, top_m=3)
 
 
 def test_candidate_pools_prefer_declarations():

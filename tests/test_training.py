@@ -8,13 +8,15 @@ import pytest
 
 from qakge.errors import InputError, TrainingDiverged
 from qakge.model import ModelParams, init_model
-from qakge.objective import Gradients, TrainingBatch, hinge_part, regularizer_part
+from qakge.objective import hinge_part, regularizer_part
 from qakge.contexts import from_json_object, to_json_object
 from qakge import objective, training
 from qakge.training import Hyperparams, beta_value, loss_and_grad, train
 from qakge.triples import Vocabulary
 
-from .helpers import arena_for, gradient_parts, step_by_step_train, toy_graph, touched_ids
+from .helpers import (
+    arena_for, gradient_parts, one_step, step_by_step_train, toy_graph, touched_ids,
+)
 
 SMALL = Hyperparams(k=6, eta=2, batch_size=16, learning_rate=1e-3, epochs=4, seed=3)
 
@@ -210,10 +212,10 @@ def test_fold_in_gradients_hold_no_frozen_row(monkeypatch):
     sub = Vocabulary.from_names(graph.vocab.entities[2:], graph.vocab.relations[1:])
     seen = []
 
-    def spy(model, batch, hp, arena, grads=None):
-        rel_ids = grads.rel_rows - model.vocab.n_entities
-        seen.append((grads.ent_rows.copy(), rel_ids, touched_ids(batch)))
-        return loss_and_grad(model, batch, hp, arena, grads)
+    def spy(model, step, hp, arena):
+        rel_ids = step.rel_rows - model.vocab.n_entities
+        seen.append((step.ent_rows.copy(), rel_ids, touched_ids(step)))
+        return loss_and_grad(model, step, hp, arena)
 
     monkeypatch.setattr(training, "loss_and_grad", spy)
     train(graph, SMALL, base=init_model(sub, SMALL.k, seed=999))
@@ -230,15 +232,15 @@ def test_fold_in_with_every_relation_frozen_skips_the_relation_terms(monkeypatch
     fresh = np.arange(graph.vocab.n_entities) < 3
     checked = []
 
-    def spy(model, batch, hp, arena, grads=None):
-        loss = loss_and_grad(model, batch, hp, arena, grads)
-        own = arena_for(model, batch)  # the step's arena fits only the rows it trains
-        live = Gradients.for_batch(
-            batch, model, np.concatenate([fresh, np.ones(graph.vocab.n_relations, bool)]))
-        loss_and_grad(model, batch, hp, own, live)
-        assert grads.values.shape == (grads.n_ent, hp.k) and len(grads.rel_rows) == 0
-        assert np.array_equal(grads.ent_rows, live.ent_rows)
-        assert (grads.values == live.values[: live.n_ent]).all()
+    def spy(model, step, hp, arena):
+        loss = loss_and_grad(model, step, hp, arena)
+        own = arena_for(model, step)  # the step's arena fits only the rows it trains
+        live = one_step(model, step.pos, step.pos_weights, step.neg, step.eta, step.beta,
+                        np.concatenate([fresh, np.ones(graph.vocab.n_relations, bool)]))
+        loss_and_grad(model, live, hp, own)
+        assert step.values.shape == (step.n_ent, hp.k) and len(step.rel_rows) == 0
+        assert np.array_equal(step.ent_rows, live.ent_rows)
+        assert (step.values == live.values[: live.n_ent]).all()
         checked.append(bool(np.abs(live.values[live.n_ent:]).max() > 0.0))
         return loss
 
@@ -256,19 +258,19 @@ def _poisoned(monkeypatch):
         for view in (arena.gather, arena.terms, arena.cells, *arena.rows):
             view.view(np.float64)[...] = np.nan
 
-    def hinge(model, batch, margin, slots, arena, grads=None):
+    def hinge(model, step, margin, arena):
         poison(arena)
-        return hinge_part(model, batch, margin, slots, arena, grads)
+        return hinge_part(model, step, margin, arena)
 
-    def penalty(model, ent_rows, rel_rows, p, lam, arena, grads=None):
+    def penalty(model, ent_rows, rel_rows, p, lam, arena, grad):
         poison(arena)
-        return regularizer_part(model, ent_rows, rel_rows, p, lam, arena, grads)
+        return regularizer_part(model, ent_rows, rel_rows, p, lam, arena, grad)
 
-    step = training._Adam.step
+    update = training._Adam.step
 
-    def adam_step(self, model, grads, arena):
+    def adam_step(self, model, step, arena):
         poison(arena)
-        return step(self, model, grads, arena)
+        return update(self, model, step, arena)
 
     monkeypatch.setattr(training, "hinge_part", hinge)
     monkeypatch.setattr(training, "regularizer_part", penalty)
@@ -296,8 +298,7 @@ def test_adam_step_leaves_untouched_rows_and_corrects_with_the_global_count():
     arena = arena_for(model)
 
     def step(pos, neg):
-        batch = TrainingBatch(np.array(pos), np.ones(len(pos)), np.array(neg), 1, 1.0)
-        grads = Gradients.for_batch(batch, model)
+        grads = one_step(model, pos, np.ones(len(pos)), neg, 1, 1.0)
         grads.values = np.zeros((len(grads.rows), model.k), dtype=np.complex128)
         for _, g in gradient_parts(model, grads):
             g[:] = rng.normal(size=g.shape)
