@@ -142,7 +142,10 @@ def cmd_eval(args) -> int:
         test_graph = graph
     metrics = evaluate(model, test_graph, graph, protocol=args.protocol, hp=hp)
     if args.json_out:
-        save_json(metrics.to_dict(), args.json_out)
+        # the validation loss depends on eta, margin and reg_lambda
+        doc = metrics.to_dict()
+        doc["hyperparams"] = to_json_object(hp)
+        save_json(doc, args.json_out)
     hits = " ".join(f"hits@{n}={v:.4f}" for n, v in sorted(metrics.hits.items()))
     print(
         f"{metrics.protocol} over {metrics.n_test} triples: "

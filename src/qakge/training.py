@@ -38,13 +38,16 @@ ADAM_EPS = 1e-8
 class Hyperparams:
     """Model and optimization settings.
 
+    ``eta`` is the number of corruptions per positive; its default is
+    measured in README, "Negatives per positive".
+
     ``beta_decay_epochs=None`` means the modulation anneal spans the whole
     run; ``focuse=False`` pins beta at 1 so edge weights are ignored
     entirely.
     """
 
     k: int = 50
-    eta: int = 5
+    eta: int = 4
     batch_size: int = 64
     learning_rate: float = 1e-5
     margin: float = 0.5

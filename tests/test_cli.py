@@ -14,8 +14,10 @@ from qakge.contexts import (
     context_to_dict,
     plan_from_dict,
     plan_to_dict,
+    to_json_object,
 )
 from qakge.synth import radiation_input_context
+from qakge.training import Hyperparams
 from qakge.triples import load_triples_csv
 
 
@@ -113,6 +115,9 @@ def test_eval_json_has_per_relation_mrr_and_config_sets_the_loss(capsys, world):
     assert all(0.0 < v <= 1.0 for v in default["per_relation_mrr"].values())
     assert configured["mrr"] == default["mrr"]
     assert configured["loss"] > default["loss"]  # the L_p penalty grows with reg_lambda
+    # the file records the settings its loss was computed with
+    assert default["hyperparams"] == to_json_object(Hyperparams())
+    assert configured["hyperparams"] == to_json_object(Hyperparams(reg_lambda=1.5))
 
 
 def test_eval_takes_the_split_seed_from_the_config(capsys, world):
