@@ -39,7 +39,8 @@ class Hyperparams:
     """Model and optimization settings.
 
     ``eta`` is the number of corruptions per positive; its default is
-    measured in README, "Negatives per positive".
+    measured in README, "Negatives per positive". ``reg_lambda`` weighs an
+    L4 penalty over the rows a step touches.
 
     ``beta_decay_epochs=None`` means the modulation anneal spans the whole
     run; ``focuse=False`` pins beta at 1 so edge weights are ignored
@@ -52,14 +53,13 @@ class Hyperparams:
     learning_rate: float = 1e-5
     margin: float = 0.5
     epochs: int = 5000
-    reg_p: int = 4
     reg_lambda: float = 1e-4
     beta_decay_epochs: int | None = None
     focuse: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "eta", "batch_size", "epochs", "reg_p"):
+        for name in ("k", "eta", "batch_size", "epochs"):
             check_integer(name, getattr(self, name), 1)
         check_integer("seed", self.seed, 0)
         if self.beta_decay_epochs is not None:
@@ -149,8 +149,8 @@ def loss_and_grad(model: ModelParams, step: Step, hp: Hyperparams, arena: Arena)
     gradient is stored in ``step.values``. The penalty covers only the rows
     the step trains (the others add a constant)."""
     loss = hinge_part(model, step, hp.margin, arena)
-    loss += regularizer_part(model, step.ent_rows, step.rel_rows, hp.reg_p, hp.reg_lambda,
-                             arena, step.values)
+    loss += regularizer_part(model, step.ent_rows, step.rel_rows, hp.reg_lambda, arena,
+                             step.values)
     return loss
 
 

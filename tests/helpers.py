@@ -15,7 +15,7 @@ from qakge.node2vec import (
     AdjacencyStructure, BaselineConfig, NodeEmbeddings, transition_probs, window_pairs,
 )
 from qakge.objective import (
-    Arena, Step, int_power, prepare_steps, scatter_rows, sigmoid, softplus,
+    Arena, Step, prepare_steps, scatter_rows, sigmoid, softplus,
 )
 from qakge import training
 from qakge.sampling import sample_corruptions
@@ -81,8 +81,9 @@ def add_at_gradients(model: ModelParams, step: Step, hp) -> dict[str, np.ndarray
     object), then corruptions, then the penalty over the touched rows.
 
     Each term is the library's: numpy's complex product (not bit-equal to
-    the four-product float formula) times the coefficient, and the penalty
-    slope from ``int_power``, so the sums can be compared with ``==``."""
+    the four-product float formula) times the coefficient, and the L4
+    penalty's slope 4 * lam * x^3 with x^3 rounded as two products, so the
+    sums can be compared with ``==``."""
     out = {name: np.zeros_like(a) for name, a in zip(GRAD_NAMES, model.arrays())}
     beta = step.beta
     w_neg = np.repeat(step.pos_weights, step.eta)
@@ -105,11 +106,9 @@ def add_at_gradients(model: ModelParams, step: Step, hp) -> dict[str, np.ndarray
             np.add.at(out[side + "_im"], rows, c * grad.imag)
     if hp.reg_lambda != 0.0:
         ent_rows, rel_rows = touched_ids(step)
-        lam, q = hp.reg_lambda, hp.reg_p
         for name, rows in zip(GRAD_NAMES, (ent_rows, ent_rows, rel_rows, rel_rows)):
             x = getattr(model, name)[rows]
-            sign = np.sign(x) if q == 1 else np.copysign(int_power(np.abs(x), q - 1), x)
-            out[name][rows] += lam * q * sign
+            out[name][rows] += 4 * hp.reg_lambda * (x * x * x)
     return out
 
 

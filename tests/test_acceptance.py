@@ -66,7 +66,7 @@ def test_analytic_gradients_match_finite_differences():
         batch = random_step(model, rng, n_pos=int(rng.integers(2, 7)),
                             eta=int(rng.integers(1, 4)), beta=beta)
         hp = Hyperparams(k=k, margin=float(rng.uniform(0.1, 1.0)),
-                         reg_p=4, reg_lambda=float(rng.uniform(0.0, 1e-2)))
+                         reg_lambda=float(rng.uniform(0.0, 1e-2)))
         analytic = dense_gradients(model, batch, hp)
         worst = max(worst, max_relative_error(analytic, fd_gradients(model, batch, hp)))
         trials += 1

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qakge.cli import main
+from qakge.cli import load_run_config, main
 from qakge.contexts import (
     AssessmentPlan,
     Attribute,
@@ -16,6 +16,7 @@ from qakge.contexts import (
     plan_to_dict,
     to_json_object,
 )
+from qakge.errors import InputError
 from qakge.synth import radiation_input_context
 from qakge.training import Hyperparams
 from qakge.triples import load_triples_csv
@@ -256,6 +257,13 @@ def test_malformed_config_value_exits_one(capsys, world):
         assert "error:" in err
 
 
+def test_a_config_that_sets_the_penalty_power_is_rejected(tmp_path):
+    # the penalty is L4, so a field for its exponent is unknown
+    config = write_json(tmp_path / "old.json", {"hyperparams": {"reg_p": 4}})
+    with pytest.raises(InputError, match=r"unknown hyperparams fields: \['reg_p'\]"):
+        load_run_config(config)
+
+
 @pytest.mark.parametrize("command, kind, doc, named", [
     ("synth", "config", {"generator": {"n_contexts": "5"}}, "n_contexts"),
     ("synth", "config", {"generator": {"attrs_per_context": [3.5, 4]}}, "attrs_per_context"),
@@ -269,6 +277,7 @@ def test_malformed_config_value_exits_one(capsys, world):
     ("plan", "config", {"planner": {"top_m": 2.5}}, "top_m"),
     ("plan", "config", {"hyperparams": {"focuse": "false"}}, "focuse"),
     ("plan", "config", {"hyperparams": {"margin": "1"}}, "margin must be a number"),
+    ("plan", "config", {"hyperparams": {"reg_p": 4}}, "reg_p"),
     ("plan", "context", {"domain": 7}, "domain"),
     ("plan", "context", {"org_standards": "ISO 8000"}, "org_standards"),
     # JSON true is a bool, which python counts as the integer 1
@@ -280,8 +289,9 @@ def test_malformed_config_value_exits_one(capsys, world):
     ("synth", "config", {"generator": {"seed": -1}}, "seed must be >= 0, got -1"),
 ], ids=["n_contexts-string", "attrs-float", "domain_pool-string", "weight_range-removed",
         "p-string", "threshold-string", "epochs-float", "baseline-number", "tau-string",
-        "top_m-float", "focuse-string", "margin-string", "domain-number", "org_standards-string",
-        "epochs-true", "k-true", "n_contexts-true", "tau-true", "d-true", "seed-negative"])
+        "top_m-float", "focuse-string", "margin-string", "reg_p-removed", "domain-number",
+        "org_standards-string", "epochs-true", "k-true", "n_contexts-true", "tau-true", "d-true",
+        "seed-negative"])
 def test_malformed_document_exits_one(capsys, world, command, kind, doc, named):
     tmp_path, graph_path, ctx_path = world
     if kind == "context":

@@ -30,7 +30,7 @@ def test_analytic_matches_finite_differences_across_betas():
         batch = random_step(model, rng, n_pos=int(rng.integers(2, 7)),
                             eta=int(rng.integers(1, 4)), beta=beta)
         hp = Hyperparams(k=k, margin=float(rng.uniform(0.1, 1.0)),
-                         reg_p=4, reg_lambda=float(rng.uniform(0.0, 1e-2)))
+                         reg_lambda=float(rng.uniform(0.0, 1e-2)))
         analytic = dense_gradients(model, batch, hp)
         numeric = fd_gradients(model, batch, hp)
         err = max_relative_error(analytic, numeric)
@@ -52,7 +52,7 @@ def test_compact_gradients_equal_add_at_oracle_bit_for_bit():
         batch = random_step(model, rng, n_pos=n_pos, eta=int(rng.integers(1, 4)),
                             beta=beta, weights=weights)
         hp = Hyperparams(k=k, margin=float(rng.uniform(0.0, 1.0)),
-                         reg_p=int(rng.integers(2, 5)), reg_lambda=[0.0, 1e-2][trial % 2])
+                         reg_lambda=[0.0, 1e-2][trial % 2])
         cases.append((model, batch, hp))
     # all-slack hinge: at beta 1 and margin 0 a corruption equal to its
     # positive violates by exactly 0, so only the penalty is left
@@ -110,12 +110,12 @@ def test_inactive_hinge_gives_pure_regularizer_gradient():
         eta=1,
         beta=1.0,
     )
-    lam, p = 1e-3, 4
-    g = dense_gradients(model, batch, Hyperparams(k=2, margin=0.5, reg_p=p, reg_lambda=lam))
-    # every touched component's gradient is exactly lam * p * x^3 (p=4)
+    lam = 1e-3
+    g = dense_gradients(model, batch, Hyperparams(k=2, margin=0.5, reg_lambda=lam))
+    # every touched component's gradient is exactly 4 * lam * x^3
     for name, arr in zip(("ent_re", "ent_im", "rel_re", "rel_im"),
                          (model.ent_re, model.ent_im, model.rel_re, model.rel_im)):
-        expected = lam * p * np.abs(arr) ** (p - 1) * np.sign(arr)
+        expected = 4 * lam * arr**3
         got = g[name]
         rows = [0, 1, 2] if name.startswith("ent") else [0]
         assert np.allclose(got[rows], expected[rows], atol=1e-15), name

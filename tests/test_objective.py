@@ -10,7 +10,6 @@ from qakge.model import init_model
 from qakge.objective import (
     Arena,
     hinge_part,
-    int_power,
     prepare_steps,
     regularizer_part,
     scatter_rows,
@@ -52,7 +51,7 @@ def _hinge(g_pos, g_neg, margin: float) -> float:
     return hinge_part(model, step, margin, arena_for(model, step))
 
 
-def _penalty(row, p: int, lam: float) -> float:
+def _penalty(row, lam: float) -> float:
     """regularizer_part with entity row 0 and relation row 0 (block row 2)
     touched; the four matrices hold ``row`` = (ent_re, ent_im, rel_re,
     rel_im) there, and the untouched entity row 1 holds 100 everywhere."""
@@ -62,7 +61,7 @@ def _penalty(row, p: int, lam: float) -> float:
         arr[0] = values
     model.ent_re[1] = model.ent_im[1] = 100.0
     grad = np.zeros((2, k), dtype=np.complex128)
-    return regularizer_part(model, np.array([0]), np.array([2]), p, lam, arena_for(model), grad)
+    return regularizer_part(model, np.array([0]), np.array([2]), lam, arena_for(model), grad)
 
 
 def test_softplus_values_and_stability():
@@ -170,47 +169,33 @@ def test_pairwise_hinge_grouping():
 
 
 def test_regularizer_part_worked_examples():
-    assert _penalty(([2.0], [0.0], [0.0], [0.0]), 4, 1.0) == pytest.approx(16.0, abs=1e-12)
-    assert _penalty(([1.0], [0.0], [0.0], [-1.0]), 4, 1e-4) == pytest.approx(2e-4, abs=1e-18)
-    assert _penalty(([3.0, -4.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]), 2, 0.5) == pytest.approx(
-        12.5, abs=1e-12)
-    assert _penalty(([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]), 4, 1.0) == 0.0
+    assert _penalty(([2.0], [0.0], [0.0], [0.0]), 1.0) == pytest.approx(16.0, abs=1e-12)
+    assert _penalty(([1.0], [0.0], [0.0], [-1.0]), 1e-4) == pytest.approx(2e-4, abs=1e-18)
+    assert _penalty(([3.0, -4.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]), 0.5) == pytest.approx(
+        168.5, abs=1e-12)
+    assert _penalty(([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]), 1.0) == 0.0
 
 
-def test_regularizer_part_low_powers_at_zero_and_negative_values():
+def test_regularizer_part_at_zero_and_negative_values():
     # entity row 0 is (-2, 0) + i (0.5, -1), relation row 0 is zero; lam = 0.5
     lam = 0.5
     row = ([-2.0, 0.0], [0.5, -1.0], [0.0, 0.0], [0.0, 0.0])
-    expected = {  # p: (loss, d/d ent_re, d/d ent_im), d = lam * p * |x|^(p-1) * sign(x)
-        1: (lam * 3.5, [-0.5, 0.0], [0.5, -0.5]),
-        2: (lam * 5.25, [-2.0, 0.0], [0.5, -1.0]),
-        3: (lam * 9.125, [-6.0, 0.0], [0.375, -1.5]),
-    }
-    for p, (loss, d_re, d_im) in expected.items():
-        assert _penalty(row, p, lam) == loss, p
-        model = _zero_model(2, 2)
-        for arr, values in zip(model.arrays(), row):
-            arr[0] = values
-        # the corruption is the positive, so at margin 0 the hinge is slack
-        # and the step's gradient is the penalty's alone
-        pos = np.array([[0, 0, 0]], dtype=np.int64)
-        step = one_step(model, pos, np.ones(1), pos, 1, 1.0)
-        arena = arena_for(model)
-        assert hinge_part(model, step, 0.0, arena) == 0.0
-        assert regularizer_part(model, step.ent_rows, step.rel_rows, p, lam, arena,
-                                step.values) == loss, p
-        assert step.values[:1].real.tolist() == [d_re], p
-        assert step.values[:1].imag.tolist() == [d_im], p
-        assert (step.values[1:] == 0.0).all(), p
-
-
-def test_int_power_worked_examples():
-    a = np.array([0.0, 1.0, -1.5, 3.0])
-    assert int_power(a, 0).tolist() == [1.0, 1.0, 1.0, 1.0]
-    assert int_power(a, 1).tolist() == a.tolist() and int_power(a, 1) is not a
-    assert int_power(a, 3).tolist() == [0.0, 1.0, -3.375, 27.0]
-    assert int_power(a, 4).tolist() == [0.0, 1.0, 5.0625, 81.0]
-    assert int_power(a, 7).tolist() == [0.0, 1.0, -17.0859375, 2187.0]
+    loss = lam * 17.0625  # lam * sum x^4
+    d_re, d_im = [-16.0, 0.0], [0.25, -2.0]  # 4 * lam * x^3
+    assert _penalty(row, lam) == loss
+    model = _zero_model(2, 2)
+    for arr, values in zip(model.arrays(), row):
+        arr[0] = values
+    # the corruption is the positive, so at margin 0 the hinge is slack and
+    # the step's gradient is the penalty's alone
+    pos = np.array([[0, 0, 0]], dtype=np.int64)
+    step = one_step(model, pos, np.ones(1), pos, 1, 1.0)
+    arena = arena_for(model)
+    assert hinge_part(model, step, 0.0, arena) == 0.0
+    assert regularizer_part(model, step.ent_rows, step.rel_rows, lam, arena, step.values) == loss
+    assert step.values[:1].real.tolist() == [d_re]
+    assert step.values[:1].imag.tolist() == [d_im]
+    assert (step.values[1:] == 0.0).all()
 
 
 @given(st.floats(-30, 30), st.floats(-30, 30), st.floats(0, 5))
