@@ -20,15 +20,17 @@ from qakge import (
     embed_graph,
     generate_plan,
 )
+from qakge.planner import PlannerConfig
 
 
 def main() -> None:
+    planner = PlannerConfig()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--epochs", type=int, default=300)
     ap.add_argument("--lr", type=float, default=1e-4)
-    ap.add_argument("--tau", type=float, default=0.5)
-    ap.add_argument("--top-m", type=int, default=3)
+    ap.add_argument("--tau", type=float, default=planner.tau)
+    ap.add_argument("--top-m", type=int, default=planner.top_m)
     ap.add_argument("--threshold", type=float, default=0.7, help="retrieval cosine cutoff")
     args = ap.parse_args()
 

@@ -29,7 +29,7 @@ from .errors import InputError, QakgeError
 from .evaluation import PROTOCOLS, evaluate
 from .gridsearch import grid_search
 from .node2vec import BaselineConfig, baseline_plan, embed_graph
-from .planner import compare_plans, comparison_report, generate_plan
+from .planner import PlannerConfig, compare_plans, comparison_report, generate_plan
 from .profiling import profile_dataset
 from .synth import GeneratorConfig, generate_synthetic_graph
 from .training import Hyperparams, train
@@ -43,15 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise InputError(message)
-
-
-@dataclass(frozen=True, slots=True)
-class PlannerConfig:
-    """The ``planner`` section: calibrated-score cutoff and rules per attribute,
-    checked by :func:`generate_plan` before it trains."""
-
-    tau: float = 0.5
-    top_m: int = 3
 
 
 @dataclass(frozen=True, slots=True)

@@ -50,6 +50,15 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True)
+class PlannerConfig:
+    """:func:`generate_plan`'s calibrated-score cutoff and rules per attribute,
+    with its defaults; a CLI config's ``planner`` section."""
+
+    tau: float = 0.5
+    top_m: int = 3
+
+
+@dataclass(frozen=True, slots=True)
 class PredictedEdge:
     source: str
     relation: str
@@ -187,8 +196,8 @@ def generate_plan(
     graph: TripleGraph,
     new_context: ContextDescriptor,
     hp: Hyperparams,
-    tau: float = 0.5,
-    top_m: int = 3,
+    tau: float = PlannerConfig().tau,
+    top_m: int = PlannerConfig().top_m,
     *,
     warm_start: ModelParams | None = None,
 ) -> tuple[AssessmentPlan, PlanProvenance]:

@@ -111,41 +111,25 @@ def test_held_out_edges_of_synthetic_corpus_are_predicted():
     graph, _ = generate_synthetic_graph(GeneratorConfig())
     assert 4500 <= len(graph) <= 7000
     train_graph, test_graph = split_train_test(graph, 0.2, seed=7)
-    # lr raised from the reference 1e-5 so 800 epochs converge at desk scale.
+    # lr raised from the reference 1e-5 to 1e-3, where held-out MRR reaches
+    # its plateau by epoch 15, so 20 epochs converge at desk scale.
     # reg_lambda 1.5 keeps hub-entity norms bounded; the slow beta schedule
-    # (quarter of the span) keeps corruptions of weight-1.0 structural edges
-    # under hinge pressure to the end. Every other setting is the default,
-    # eta included (README, "Negatives per positive", measures it).
-    hp = Hyperparams(learning_rate=1e-4, epochs=800, seed=7,
+    # keeps beta above 0.99 over the run, so the edge weights barely modulate
+    # the hinge (annealed over the run, as by default, MRR falls to 0.34).
+    # Every other setting is the default, so a default eta or k that breaks
+    # the bounds fails here. The acceptance floor alone would pass eta 2,
+    # which is off the frontier, so Hits@10 also has a frontier floor of
+    # 0.55: at this seed eta 2 reaches 0.534 and eta 3-5 reach 0.579-0.590,
+    # and over split seeds 1000-1009 eta 2 peaks at 0.538 while eta 3-5
+    # never fall below 0.555 (README, "Negatives per positive")
+    hp = Hyperparams(learning_rate=1e-3, epochs=20, seed=7,
                      reg_lambda=1.5, beta_decay_epochs=3200)
     model, _ = train(train_graph, hp)
     metrics = evaluate(model, test_graph, graph, protocol="filtered")
     _check("generalization on the 41-context corpus",
            metrics.hits[10] >= 0.45 and metrics.mrr >= 0.10,
            f"filtered Hits@10 {metrics.hits[10]:.3f} >= 0.45, MRR {metrics.mrr:.3f} >= 0.10 "
-           f"({len(graph)} triples, 80/20 split)",
-           started, budget=1800.0)
-
-
-def test_default_negatives_keep_held_out_quality_at_the_fast_protocol():
-    # the desk test's corpus, split and bounds at lr 1e-3 for 20 epochs, where
-    # held-out MRR is on its plateau, so a default eta or k that breaks them
-    # fails in seconds. The acceptance floor alone would pass eta 2, which
-    # is off the frontier, so Hits@10 also has a frontier floor of 0.55: at
-    # this seed eta 2 reaches 0.534 and eta 3-5 reach 0.579-0.590, and over
-    # split seeds 1000-1009 eta 2 peaks at 0.538 while eta 3-5 never fall
-    # below 0.555 (README, "Negatives per positive")
-    started = time.time()
-    graph, _ = generate_synthetic_graph(GeneratorConfig())
-    train_graph, test_graph = split_train_test(graph, 0.2, seed=7)
-    hp = Hyperparams(learning_rate=1e-3, epochs=20, seed=7,
-                     reg_lambda=1.5, beta_decay_epochs=3200)
-    model, _ = train(train_graph, hp)
-    metrics = evaluate(model, test_graph, graph, protocol="filtered")
-    _check("generalization at the default eta and k",
-           metrics.hits[10] >= 0.45 and metrics.mrr >= 0.10,
-           f"filtered Hits@10 {metrics.hits[10]:.3f} >= 0.45, MRR {metrics.mrr:.3f} >= 0.10 "
-           f"(eta {hp.eta}, k {hp.k}, 20 epochs at lr 1e-3)",
+           f"({len(graph)} triples, 80/20 split, eta {hp.eta}, k {hp.k})",
            started, budget=120.0)
     _check("held-out quality on the eta frontier", metrics.hits[10] >= 0.55,
            f"filtered Hits@10 {metrics.hits[10]:.3f} >= 0.55 (eta {hp.eta}, k {hp.k})",
@@ -205,7 +189,9 @@ def test_plan_generation_outcovers_nearest_context_retrieval():
     kge_plan, _ = generate_plan(scenario.graph, query, hp, tau=0.5, top_m=3)
 
     with_query = scenario.graph.extended(context_to_triples(query))
-    embeddings = embed_graph(with_query, BaselineConfig(), seed=0)
+    # one skip-gram epoch over two walks per node, as the benchmark's
+    # radiation-compare runs it, finds the stored context at embed seeds 0-9
+    embeddings = embed_graph(with_query, BaselineConfig(epochs=1, walks_per_node=2), seed=0)
     walk_plan = baseline_plan(with_query, embeddings, query, threshold=0.7)
 
     cmp = compare_plans(kge_plan, walk_plan, query)

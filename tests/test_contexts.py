@@ -27,9 +27,10 @@ from qakge.contexts import (
     to_json_object,
     triples_to_context,
 )
-from qakge.cli import PlannerConfig, RunConfig
+from qakge.cli import RunConfig
 from qakge.errors import InputError, MalformedContextError
 from qakge.node2vec import BaselineConfig
+from qakge.planner import PlannerConfig
 from qakge.synth import GeneratorConfig
 from qakge.training import Hyperparams
 from qakge.triples import TripleGraph, WeightedTriple

@@ -1,4 +1,7 @@
 """Plan generation: calibration, edge selection, coverage comparison."""
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from qakge.errors import ContextMismatchError, InputError
 from qakge.model import ModelParams, init_model
 from qakge.planner import (
     PlanCoverage,
+    PlannerConfig,
     calibrate_weight,
     compare_plans,
     comparison_report,
@@ -224,6 +228,15 @@ def test_generate_plan_rejects_bad_arguments():
     )
     with pytest.raises(InputError, match="collision"):
         generate_plan(graph, clash, FAST_HP)
+
+
+def test_generate_plan_defaults_are_the_planner_config():
+    # the CLI's planner section and the radiation script read PlannerConfig,
+    # the library and the benchmark call generate_plan without tau or top_m
+    config = PlannerConfig()
+    params = inspect.signature(generate_plan).parameters
+    for f in dataclasses.fields(config):
+        assert params[f.name].default == getattr(config, f.name), f.name
 
 
 def test_warm_start_seeds_shared_rows():
